@@ -10,9 +10,10 @@ character — produces a different digest and therefore a fresh build.
 Sharing a result object is safe because every consumer treats analyzed
 programs as immutable: the transformation passes are *copying* rewriters
 (:mod:`repro.transform.rewriter`), the interpreter only reads the
-resolution tables, and the mutation generator restores every flip before
-returning. Tracing and debugging state always lives in per-run objects
-(trees, dependence graphs), never in the analysis.
+resolution tables, and the mutation generator never writes to the tree
+(each faulty node is a copy, printed into one re-rendered line of the
+host's text). Tracing and debugging state always lives in per-run
+objects (trees, dependence graphs), never in the analysis.
 
 Caches are bounded LRU (a mutation sweep over thousands of distinct
 mutant sources must not retain every analysis), can be disabled globally

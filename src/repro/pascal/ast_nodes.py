@@ -26,6 +26,21 @@ def _next_id() -> int:
     return next(_NODE_IDS)
 
 
+#: per node class, the names of its fields other than ``location`` and
+#: ``node_id``, in declaration order (filled on first use: the class
+#: must be a finished dataclass by then)
+_CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
+
+
+def _child_fields(cls: type) -> tuple[str, ...]:
+    names = _CHILD_FIELDS.get(cls)
+    if names is None:
+        names = _CHILD_FIELDS[cls] = tuple(
+            f.name for f in fields(cls) if f.name not in ("location", "node_id")
+        )
+    return names
+
+
 @dataclass
 class Node:
     """Base class for all AST nodes."""
@@ -35,10 +50,8 @@ class Node:
 
     def children(self) -> Iterator["Node"]:
         """Yield direct child nodes in syntactic order."""
-        for f in fields(self):
-            if f.name in ("location", "node_id"):
-                continue
-            value = getattr(self, f.name)
+        for name in _child_fields(type(self)):
+            value = getattr(self, name)
             if isinstance(value, Node):
                 yield value
             elif isinstance(value, list):
@@ -321,17 +334,15 @@ def clone(node: Node) -> Node:
     """
     if not isinstance(node, Node):
         return node
-    kwargs = {}
-    for f in fields(node):
-        if f.name == "node_id":
-            continue
-        value = getattr(node, f.name)
+    kwargs = {"location": node.location}
+    for name in _child_fields(type(node)):
+        value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[f.name] = clone(value)
+            kwargs[name] = clone(value)
         elif isinstance(value, list):
-            kwargs[f.name] = [clone(item) if isinstance(item, Node) else item for item in value]
+            kwargs[name] = [clone(item) if isinstance(item, Node) else item for item in value]
         else:
-            kwargs[f.name] = value
+            kwargs[name] = value
     return type(node)(**kwargs)
 
 

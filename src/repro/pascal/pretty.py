@@ -42,6 +42,13 @@ class PrettyPrinter:
         self._indent_unit = indent
         self._lines: list[str] = []
         self._depth = 0
+        #: id(stmt) -> (line index, start, end): where the text of
+        #: :meth:`_head` sits in the statement's line; what follows
+        #: ``end`` (a statement list's ``;``) was appended later
+        self._heads: dict[int, tuple[int, int, int]] = {}
+        #: :meth:`format_expr` prints ``_substitute`` in place of ``_original``
+        self._original: ast.Expr | None = None
+        self._substitute: ast.Expr | None = None
 
     # ------------------------------------------------------------------
     # entry points
@@ -49,6 +56,7 @@ class PrettyPrinter:
     def print_program(self, program: ast.Program) -> str:
         self._lines = []
         self._depth = 0
+        self._heads = {}
         self._emit(f"program {program.name};")
         self._print_block(program.block)
         # Replace the trailing 'end' of the main body with 'end.'
@@ -72,6 +80,12 @@ class PrettyPrinter:
 
     def _emit(self, text: str) -> None:
         self._lines.append(self._indent_unit * self._depth + text if text else "")
+
+    def _emit_head(self, stmt: ast.Stmt) -> None:
+        indent = self._indent_unit * self._depth
+        text = self._head(stmt)
+        self._heads[id(stmt)] = (len(self._lines), len(indent), len(indent) + len(text))
+        self._lines.append(indent + text)
 
     # ------------------------------------------------------------------
     # declarations
@@ -147,7 +161,7 @@ class PrettyPrinter:
     # statements
 
     def _print_stmt(self, stmt: ast.Stmt) -> None:
-        prefix = f"{stmt.label}: " if stmt.label is not None else ""
+        prefix = _label_prefix(stmt)
         if isinstance(stmt, ast.EmptyStmt):
             # An empty statement has no text of its own; only a label
             # (a goto target) forces it onto a line.
@@ -159,23 +173,18 @@ class PrettyPrinter:
                 self._emit(prefix.rstrip())
             self._print_compound(stmt)
             return
-        if isinstance(stmt, ast.Assign):
-            self._emit(f"{prefix}{self.format_expr(stmt.target)} := {self.format_expr(stmt.value)}")
-            return
-        if isinstance(stmt, ast.ProcCall):
-            args = ", ".join(self.format_expr(arg) for arg in stmt.args)
-            call = f"{stmt.name}({args})" if stmt.args else stmt.name
-            self._emit(f"{prefix}{call}")
+        if isinstance(stmt, (ast.Assign, ast.ProcCall)):
+            self._emit_head(stmt)
             return
         if isinstance(stmt, ast.If):
-            self._emit(f"{prefix}if {self.format_expr(stmt.condition)} then")
+            self._emit_head(stmt)
             self._print_indented(stmt.then_branch)
             if stmt.else_branch is not None:
                 self._emit("else")
                 self._print_indented(stmt.else_branch)
             return
-        if isinstance(stmt, ast.While):
-            self._emit(f"{prefix}while {self.format_expr(stmt.condition)} do")
+        if isinstance(stmt, (ast.While, ast.For)):
+            self._emit_head(stmt)
             self._print_indented(stmt.body)
             return
         if isinstance(stmt, ast.Repeat):
@@ -183,20 +192,47 @@ class PrettyPrinter:
             self._depth += 1
             self._print_stmt_list(stmt.body)
             self._depth -= 1
-            self._emit(f"until {self.format_expr(stmt.condition)}")
-            return
-        if isinstance(stmt, ast.For):
-            direction = "downto" if stmt.downto else "to"
-            self._emit(
-                f"{prefix}for {stmt.variable} := {self.format_expr(stmt.start)} "
-                f"{direction} {self.format_expr(stmt.stop)} do"
-            )
-            self._print_indented(stmt.body)
+            self._emit_head(stmt)
             return
         if isinstance(stmt, ast.Goto):
             self._emit(f"{prefix}goto {stmt.target}")
             return
         raise TypeError(f"unknown statement {stmt!r}")
+
+    def _head(self, stmt: ast.Stmt) -> str:
+        """The text of the one line holding ``stmt``'s own expressions:
+        the whole of an assignment or call, the header of an ``if``,
+        ``while`` or ``for`` (never the body), the ``until`` of a
+        ``repeat``."""
+        if isinstance(stmt, ast.Repeat):
+            return f"until {self.format_expr(stmt.condition)}"
+        prefix = _label_prefix(stmt)
+        if isinstance(stmt, ast.Assign):
+            return f"{prefix}{self.format_expr(stmt.target)} := {self.format_expr(stmt.value)}"
+        if isinstance(stmt, ast.ProcCall):
+            args = ", ".join(self.format_expr(arg) for arg in stmt.args)
+            call = f"{stmt.name}({args})" if stmt.args else stmt.name
+            return f"{prefix}{call}"
+        if isinstance(stmt, ast.If):
+            return f"{prefix}if {self.format_expr(stmt.condition)} then"
+        if isinstance(stmt, ast.While):
+            return f"{prefix}while {self.format_expr(stmt.condition)} do"
+        if isinstance(stmt, ast.For):
+            direction = "downto" if stmt.downto else "to"
+            return (
+                f"{prefix}for {stmt.variable} := {self.format_expr(stmt.start)} "
+                f"{direction} {self.format_expr(stmt.stop)} do"
+            )
+        raise TypeError(f"statement {stmt!r} has no expression line")
+
+    def format_head(self, stmt: ast.Stmt, original: ast.Expr, substitute: ast.Expr) -> str:
+        """:meth:`_head` of ``stmt`` with ``substitute`` printed in place of
+        ``original``, one of the expressions on that line."""
+        self._original, self._substitute = original, substitute
+        try:
+            return self._head(stmt)
+        finally:
+            self._original = self._substitute = None
 
     def _print_indented(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.Compound) and stmt.label is None:
@@ -224,6 +260,8 @@ class PrettyPrinter:
     # expressions
 
     def format_expr(self, expr: ast.Expr, parent_precedence: int = 0) -> str:
+        if expr is self._original:
+            expr = self._substitute
         text, precedence = self._format_expr_prec(expr)
         if precedence < parent_precedence:
             return f"({text})"
@@ -267,6 +305,38 @@ class PrettyPrinter:
             right = self.format_expr(expr.right, precedence + 1)
             return f"{left} {expr.op} {right}", precedence
         raise TypeError(f"unknown expression {expr!r}")
+
+
+def _label_prefix(stmt: ast.Stmt) -> str:
+    return f"{stmt.label}: " if stmt.label is not None else ""
+
+
+class PrintedProgram:
+    """A program's text, printed once, from which a variant differing in
+    one expression is made by re-rendering a single line.
+
+    Every expression of a routine or main body sits on the line of its
+    innermost statement (:meth:`PrettyPrinter._head`). The variant
+    re-renders that whole line, not just the changed token, so a change
+    of precedence re-parenthesizes exactly as a full reprint would; the
+    line's ``;`` from the enclosing statement list is kept.
+    """
+
+    def __init__(self, program: ast.Program):
+        self._program = program  # keeps the ids in the head table valid
+        self._printer = PrettyPrinter()
+        self.text = self._printer.print_program(program)
+        self._line_starts = [0]
+        for line in self._printer._lines:
+            self._line_starts.append(self._line_starts[-1] + len(line) + 1)
+
+    def substituted(self, stmt: ast.Stmt, original: ast.Expr, substitute: ast.Expr) -> str:
+        """The program text with ``substitute`` in place of ``original``,
+        an expression on ``stmt``'s own line. The program is not touched."""
+        index, start, end = self._printer._heads[id(stmt)]
+        line_start = self._line_starts[index]
+        head = self._printer.format_head(stmt, original, substitute)
+        return self.text[: line_start + start] + head + self.text[line_start + end :]
 
 
 def print_program(program: ast.Program) -> str:

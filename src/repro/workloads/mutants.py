@@ -7,16 +7,21 @@ relational operator flip and every off-by-one constant change, one at a
 time, each tagged with the routine whose body contains it. The
 localization experiment then checks, for every behaviour-changing
 mutant, that the debugger blames exactly that routine.
+
+Generation never writes to the analyzed program, which the analysis
+cache shares with every other caller: each mutant's faulty node is a
+copy, and its source is the host program's text, printed once, with the
+one line holding that node re-rendered.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.pascal import ast_nodes as ast
-from repro.pascal.pretty import print_program
+from repro.pascal.pretty import PrintedProgram
 from repro.pascal.semantics import AnalyzedProgram, analyze_source
 
 #: operator substitutions, one per mutant
@@ -44,16 +49,22 @@ class Mutant:
     kind: str  # "operator" or "constant"
 
 
-def _routine_of_node(
-    analysis: AnalyzedProgram, target: ast.Node
-) -> str | None:
-    """Name of the routine whose *body* contains ``target`` (None for
-    declarations or main-body code)."""
+def _owners(analysis: AnalyzedProgram) -> dict[int, tuple[str, ast.Stmt]]:
+    """``id(node)`` -> (routine whose *body* contains it, innermost
+    statement around it) for every node of every routine body, in one
+    walk of each body. Declarations and main-body code have no entry."""
+    owners: dict[int, tuple[str, ast.Stmt]] = {}
+
+    def visit(node: ast.Node, owner: str, host: ast.Stmt) -> None:
+        if isinstance(node, ast.Stmt):
+            host = node
+        owners.setdefault(id(node), (owner, host))
+        for child in node.children():
+            visit(child, owner, host)
+
     for info in analysis.user_routines():
-        for stmt in ast.iter_statements(info.block.body):
-            if any(node is target for node in stmt.walk()):
-                return info.name
-    return None
+        visit(info.block.body, info.name, info.block.body)
+    return owners
 
 
 def generate_mutants(
@@ -65,42 +76,33 @@ def generate_mutants(
 
     ``units`` restricts mutation to the named routines.
     """
-    analysis = analyze_source(source)
-    mutants: list[Mutant] = []
-    program = analysis.program
-
-    for node in program.walk():
-        owner = None
-        if isinstance(node, ast.BinaryOp) and node.op in _BINARY_FLIPS:
-            owner = _routine_of_node(analysis, node)
-            if owner is None or (units is not None and owner not in units):
+    with obs.span("mutants.generate"):
+        analysis = analyze_source(source)
+        owners = _owners(analysis)
+        printed = PrintedProgram(analysis.program)
+        mutants: list[Mutant] = []
+        for node in analysis.program.walk():
+            site = owners.get(id(node))
+            if site is None or (units is not None and site[0] not in units):
                 continue
-            original_op = node.op
-            node.op = _BINARY_FLIPS[original_op]
+            if isinstance(node, ast.BinaryOp) and node.op in _BINARY_FLIPS:
+                fault = replace(node, op=_BINARY_FLIPS[node.op])
+                change, kind = f"{node.op} -> {fault.op}", "operator"
+            elif include_constants and isinstance(node, ast.IntLiteral):
+                fault = replace(node, value=node.value + 1)
+                change, kind = f"{node.value} -> {fault.value}", "constant"
+            else:
+                continue
+            owner, host = site
             mutants.append(
                 Mutant(
-                    source=print_program(program),
+                    source=printed.substituted(host, node, fault),
                     unit=owner,
-                    description=f"{original_op} -> {node.op} in {owner}",
-                    kind="operator",
+                    description=f"{change} in {owner}",
+                    kind=kind,
                 )
             )
-            node.op = original_op
-        elif include_constants and isinstance(node, ast.IntLiteral):
-            owner = _routine_of_node(analysis, node)
-            if owner is None or (units is not None and owner not in units):
-                continue
-            original_value = node.value
-            node.value = original_value + 1
-            mutants.append(
-                Mutant(
-                    source=print_program(program),
-                    unit=owner,
-                    description=f"{original_value} -> {node.value} in {owner}",
-                    kind="constant",
-                )
-            )
-            node.value = original_value
+        obs.add("mutants.generated", len(mutants))
     return mutants
 
 

@@ -1,10 +1,18 @@
 """Tests for the mutation workload and localization-accuracy experiment."""
 
+import re
+import sys
+import threading
+
 import pytest
 
-from repro.pascal import parse_program, run_source
+from repro.pascal import analyze_source, parse_program, print_program
+from repro.pascal import ast_nodes as ast
+from repro.tgen.corpus import generate_program
 from repro.workloads import FIGURE4_FIXED_SOURCE
+from repro.workloads.ledger import ledger_program
 from repro.workloads.mutants import (
+    _BINARY_FLIPS,
     OUTCOME_STATUSES,
     LocalizationOutcome,
     Mutant,
@@ -13,6 +21,7 @@ from repro.workloads.mutants import (
     generate_mutants,
     summarize,
 )
+from repro.workloads.paper_programs import SECTION3_FIXED_SOURCE
 
 SMALL = """
 program t;
@@ -26,6 +35,129 @@ begin
   writeln(r)
 end.
 """
+
+
+def _tokens(line: str) -> list[str]:
+    """The tokens of one printed line, parentheses left out."""
+    return re.findall(r":=|<=|>=|<>|\w+|[^\s()]", line)
+
+
+def _reference_mutants(
+    source: str, include_constants: bool = True, units: set[str] | None = None
+) -> list[Mutant]:
+    """The original generator, kept as the byte-identity reference: flip
+    each node in place, reprint the whole program, find the owner by
+    re-walking every routine body. It runs on a private, uncached
+    analysis, since it writes to the tree."""
+    analysis = analyze_source(source, cached=False)
+    program = analysis.program
+
+    def owner_of(target):
+        for info in analysis.user_routines():
+            if any(node is target for node in info.block.body.walk()):
+                return info.name
+        return None
+
+    mutants = []
+    for node in program.walk():
+        if isinstance(node, ast.BinaryOp) and node.op in _BINARY_FLIPS:
+            field, kind = "op", "operator"
+            faulty = _BINARY_FLIPS[node.op]
+        elif include_constants and isinstance(node, ast.IntLiteral):
+            field, kind = "value", "constant"
+            faulty = node.value + 1
+        else:
+            continue
+        owner = owner_of(node)
+        if owner is None or (units is not None and owner not in units):
+            continue
+        original = getattr(node, field)
+        setattr(node, field, faulty)
+        mutants.append(
+            Mutant(
+                source=print_program(program),
+                unit=owner,
+                description=f"{original} -> {faulty} in {owner}",
+                kind=kind,
+            )
+        )
+        setattr(node, field, original)
+    return mutants
+
+
+#: hosts of the byte-identity check: the paper's programs, the ledger,
+#: and corpus programs (goto-dense, nested routines, labels, repeat)
+_HOSTS = {
+    "figure4": FIGURE4_FIXED_SOURCE,
+    "section3": SECTION3_FIXED_SOURCE,
+    "ledger": ledger_program().fixed_source,
+    **{f"corpus{seed}": generate_program(seed) for seed in range(10)},
+}
+
+
+class TestByteIdentity:
+    @pytest.mark.parametrize("name", sorted(_HOSTS))
+    def test_matches_the_reference_generator(self, name):
+        source = _HOSTS[name]
+        reference = _reference_mutants(source)
+        assert reference
+        assert generate_mutants(source) == reference
+        assert generate_mutants(source, include_constants=False) == _reference_mutants(
+            source, include_constants=False
+        )
+        units = set(sorted({mutant.unit for mutant in reference})[::2])
+        assert generate_mutants(source, units=units) == _reference_mutants(
+            source, units=units
+        )
+
+
+class TestReadOnly:
+    def test_never_writes_to_the_cached_analysis(self, monkeypatch):
+        source = FIGURE4_FIXED_SOURCE
+        program = analyze_source(source).program
+        shared = {id(node) for node in program.walk()}
+        writes = []
+        setattr_ = ast.Node.__setattr__
+
+        def trap(node, name, value):
+            if id(node) in shared:
+                writes.append((type(node).__name__, name))
+            setattr_(node, name, value)
+
+        monkeypatch.setattr(ast.Node, "__setattr__", trap)
+        mutants = generate_mutants(source)
+        program.block.body.label = program.block.body.label  # the trap works
+        monkeypatch.undo()
+        assert analyze_source(source).program is program
+        assert mutants
+        assert writes == [("Compound", "label")]
+
+    def test_cached_program_text_never_changes_during_a_sweep(self):
+        source = FIGURE4_FIXED_SOURCE
+        program = analyze_source(source).program
+        expected = print_program(program)
+        texts = []
+        stop = threading.Event()
+
+        def reader():
+            while not stop.is_set():
+                texts.append(print_program(program))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # interleave the threads finely
+        thread = threading.Thread(target=reader)
+        thread.start()
+        try:
+            for _ in range(3):
+                mutants = generate_mutants(source)
+            evaluate_mutants(source, mutants[:4])
+        finally:
+            stop.set()
+            thread.join(timeout=30)
+            sys.setswitchinterval(interval)
+        assert not thread.is_alive()
+        assert texts
+        assert all(text == expected for text in texts)
 
 
 class TestGeneration:
@@ -60,16 +192,26 @@ class TestGeneration:
         assert not any("in t" == m.description[-4:] for m in mutants)
 
     def test_one_fault_per_mutant(self):
-        original_text = SMALL
-        for mutant in generate_mutants(SMALL, include_constants=False):
-            # token-level: exactly one operator differs
-            diff = sum(
-                1
-                for a, b in zip(original_text.split(), mutant.source.split())
-                if a != b
-            )
-            # layout differs after pretty-printing, so just re-run:
-            assert run_source(mutant.source) is not None
+        for source in (SMALL, FIGURE4_FIXED_SOURCE):
+            self._assert_one_fault_per_mutant(source)
+
+    @staticmethod
+    def _assert_one_fault_per_mutant(source):
+        original = print_program(parse_program(source)).splitlines()
+        mutants = generate_mutants(source)
+        assert mutants
+        for mutant in mutants:
+            lines = mutant.source.splitlines()
+            assert len(lines) == len(original)
+            changed = [i for i, (a, b) in enumerate(zip(original, lines)) if a != b]
+            assert len(changed) == 1, mutant.description
+            # the one changed line swaps exactly the token the
+            # description names (parentheses may move with precedence)
+            before, after = _tokens(original[changed[0]]), _tokens(lines[changed[0]])
+            assert len(before) == len(after)
+            swaps = [(a, b) for a, b in zip(before, after) if a != b]
+            old, new = mutant.description.split(" in ")[0].split(" -> ")
+            assert swaps == [(old, new)], mutant.description
 
 
 class TestEvaluation:

@@ -297,6 +297,22 @@ class TestPipelineInstrumentation:
         assert len(mutant_events) == len(outcomes)
         assert all(outcome.seconds > 0 for outcome in outcomes)
 
+    def test_mutant_generation_span_and_counter(self, observing):
+        from repro.workloads.mutants import generate_mutants
+
+        first = generate_mutants(FIGURE4_FIXED_SOURCE)
+        second = generate_mutants(FIGURE4_FIXED_SOURCE, include_constants=False)
+        snap = obs.snapshot(include_cache=False)
+        assert snap["counters"]["mutants.generated"] == len(first) + len(second)
+        assert snap["histograms"]["mutants.generate"]["count"] == 2
+        spans = [
+            event
+            for event in obs.events()
+            if event["kind"] == "span" and event["name"] == "mutants.generate"
+        ]
+        assert len(spans) == 2
+        assert all(span["duration_s"] > 0 for span in spans)
+
 
 class TestReportRendering:
     def test_answer_sources_line(self):
