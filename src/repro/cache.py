@@ -47,6 +47,12 @@ from typing import Any, Callable
 #: global switch — when False every lookup misses and nothing is stored
 _ENABLED = True
 
+#: layout tag of pickled disk entries, part of every entry's file name.
+#: Change it when a cached value's pickled form changes (e.g. a class
+#: becomes a tuple): entries of the old layout then read as plain misses
+#: instead of unloadable, quarantined "corrupt" files.
+DISK_FORMAT = "gadt-cache/2"
+
 
 def _fire_read_fault(cache_name: str):
     """Consult the fault-injection plan, if the resilience layer is even
@@ -250,7 +256,7 @@ class DiskCacheBackend:
         self.directory.mkdir(parents=True, exist_ok=True)
 
     def _path(self, key: tuple) -> Path:
-        digest = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        digest = hashlib.sha256(repr((DISK_FORMAT, key)).encode("utf-8")).hexdigest()
         return self.directory / f"{digest}.entry"
 
     def load(self, key: tuple, force_corrupt: bool = False) -> Any:

@@ -48,22 +48,31 @@ class Node:
     location: SourceLocation = field(default_factory=SourceLocation.unknown, kw_only=True)
     node_id: int = field(default_factory=_next_id, kw_only=True, compare=False)
 
-    def children(self) -> Iterator["Node"]:
-        """Yield direct child nodes in syntactic order."""
+    def children(self) -> list["Node"]:
+        """Direct child nodes in syntactic order (a fresh list)."""
+        kids: list[Node] = []
         for name in _child_fields(type(self)):
             value = getattr(self, name)
             if isinstance(value, Node):
-                yield value
+                kids.append(value)
             elif isinstance(value, list):
                 for item in value:
                     if isinstance(item, Node):
-                        yield item
+                        kids.append(item)
+        return kids
 
     def walk(self) -> Iterator["Node"]:
         """Yield this node and all descendants, pre-order."""
-        yield self
-        for child in self.children():
-            yield from child.walk()
+        stack: list[Node] = [self]
+        pop = stack.pop
+        while stack:
+            node = pop()
+            yield node
+            kids = node.children()
+            if kids:
+                # pushed last-first, so the first child pops next
+                kids.reverse()
+                stack += kids
 
 
 # ----------------------------------------------------------------------
@@ -325,12 +334,13 @@ class Goto(Stmt):
 # Utilities
 
 
-def clone(node: Node) -> Node:
+def clone(node: Node, ids: dict[int, int] | None = None) -> Node:
     """Deep-copy an AST, assigning fresh node ids throughout.
 
     Returns a structurally identical tree that shares no nodes with the
     original — used by the transformation phase, which must leave the
-    original program intact for transparent debugging.
+    original program intact for transparent debugging. When ``ids`` is
+    given, it receives new id -> original id for every copied node.
     """
     if not isinstance(node, Node):
         return node
@@ -338,31 +348,37 @@ def clone(node: Node) -> Node:
     for name in _child_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[name] = clone(value)
+            kwargs[name] = clone(value, ids)
         elif isinstance(value, list):
-            kwargs[name] = [clone(item) if isinstance(item, Node) else item for item in value]
+            kwargs[name] = [
+                clone(item, ids) if isinstance(item, Node) else item for item in value
+            ]
         else:
             kwargs[name] = value
-    return type(node)(**kwargs)
+    copy = type(node)(**kwargs)
+    if ids is not None:
+        ids[copy.node_id] = node.node_id
+    return copy
 
 
 def iter_statements(stmt: Stmt) -> Iterator[Stmt]:
     """Yield ``stmt`` and every statement nested within it, pre-order."""
-    yield stmt
-    if isinstance(stmt, Compound):
-        for child in stmt.statements:
-            yield from iter_statements(child)
-    elif isinstance(stmt, If):
-        yield from iter_statements(stmt.then_branch)
-        if stmt.else_branch is not None:
-            yield from iter_statements(stmt.else_branch)
-    elif isinstance(stmt, While):
-        yield from iter_statements(stmt.body)
-    elif isinstance(stmt, Repeat):
-        for child in stmt.body:
-            yield from iter_statements(child)
-    elif isinstance(stmt, For):
-        yield from iter_statements(stmt.body)
+    stack: list[Stmt] = [stmt]
+    pop = stack.pop
+    while stack:
+        stmt = pop()
+        yield stmt
+        # nested statements pushed last-first, so the first pops next
+        if isinstance(stmt, Compound):
+            stack += reversed(stmt.statements)
+        elif isinstance(stmt, If):
+            if stmt.else_branch is not None:
+                stack.append(stmt.else_branch)
+            stack.append(stmt.then_branch)
+        elif isinstance(stmt, (While, For)):
+            stack.append(stmt.body)
+        elif isinstance(stmt, Repeat):
+            stack += reversed(stmt.body)
 
 
 def iter_routines(program: Program) -> Iterator[RoutineDecl]:

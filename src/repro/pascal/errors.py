@@ -8,12 +8,15 @@ the original program text.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True, order=True)
-class SourceLocation:
-    """A (line, column) position in a source file, 1-based."""
+class SourceLocation(NamedTuple):
+    """A (line, column) position in a source file, 1-based.
+
+    A tuple, so it orders, compares and hashes as ``(line, column)``;
+    the lexer builds one per token.
+    """
 
     line: int = 0
     column: int = 0

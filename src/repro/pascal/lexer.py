@@ -1,21 +1,41 @@
-"""Hand-written scanner for Mini-Pascal.
+"""Regex-driven scanner for Mini-Pascal.
 
 Supports both Pascal comment styles (``{ ... }`` and ``(* ... *)``),
 case-insensitive keywords, integer literals, and single-quoted string
-literals with ``''`` escaping.
+literals with ``''`` escaping. Program text is ASCII outside comments
+and strings: any other character there is an ``unexpected character``.
+
+One compiled master pattern, matched at the current position, skips
+blanks and classifies what follows (newline, word, number, operator, or
+the opening of a comment or string). A string is finished by its own
+small pattern, a comment by a search for its closing delimiter; a
+column is the distance from the start of the current line.
 """
 
 from __future__ import annotations
 
+import re
+
+from repro import obs
 from repro.pascal.errors import LexError, SourceLocation
 from repro.pascal.tokens import KEYWORDS, Token, TokenType
 
-_SINGLE_CHAR_TOKENS = {
+_OPERATORS = {
+    ":=": TokenType.ASSIGN,
+    "<=": TokenType.LE,
+    "<>": TokenType.NEQ,
+    ">=": TokenType.GE,
+    "..": TokenType.DOTDOT,
     "+": TokenType.PLUS,
     "-": TokenType.MINUS,
     "*": TokenType.STAR,
     "/": TokenType.SLASH,
     "=": TokenType.EQ,
+    "<": TokenType.LT,
+    ">": TokenType.GT,
+    ":": TokenType.COLON,
+    ".": TokenType.DOT,
+    "(": TokenType.LPAREN,
     ")": TokenType.RPAREN,
     "[": TokenType.LBRACKET,
     "]": TokenType.RBRACKET,
@@ -23,159 +43,88 @@ _SINGLE_CHAR_TOKENS = {
     ";": TokenType.SEMICOLON,
 }
 
+# Group numbers of the master pattern below, read back through ``lastindex``.
+_NEWLINE, _WORD, _NUMBER, _OPENER, _OPERATOR = 1, 2, 3, 4, 5
 
-class Lexer:
-    """Converts source text into a list of tokens."""
+#: blanks, then one of: newline | word | number | the opening of a
+#: comment or string | operator | nothing (end of input or a bad
+#: character). ``(*`` is tried before the ``(`` operator.
+_MASTER = re.compile(
+    r"[ \t\r]*(?:"
+    r"(\n)"
+    r"|([A-Za-z_][A-Za-z0-9_]*)"
+    r"|([0-9]+)"
+    r"|(\{|\(\*|')"
+    r"|(:=|<=|<>|>=|\.\.|[-+*/=<>:.()\[\],;])"
+    r")?"
+)
 
-    def __init__(self, source: str):
-        self._source = source
-        self._pos = 0
-        self._line = 1
-        self._column = 1
-
-    def tokenize(self) -> list[Token]:
-        """Scan the whole input, returning tokens ending with EOF."""
-        tokens: list[Token] = []
-        while True:
-            token = self._next_token()
-            tokens.append(token)
-            if token.type is TokenType.EOF:
-                return tokens
-
-    # ------------------------------------------------------------------
-    # scanning machinery
-
-    def _location(self) -> SourceLocation:
-        return SourceLocation(self._line, self._column)
-
-    def _peek(self, offset: int = 0) -> str:
-        index = self._pos + offset
-        if index < len(self._source):
-            return self._source[index]
-        return ""
-
-    def _advance(self) -> str:
-        char = self._source[self._pos]
-        self._pos += 1
-        if char == "\n":
-            self._line += 1
-            self._column = 1
-        else:
-            self._column += 1
-        return char
-
-    def _skip_trivia(self) -> None:
-        """Skip whitespace and both comment styles."""
-        while self._pos < len(self._source):
-            char = self._peek()
-            if char in " \t\r\n":
-                self._advance()
-            elif char == "{":
-                self._skip_brace_comment()
-            elif char == "(" and self._peek(1) == "*":
-                self._skip_paren_comment()
-            else:
-                return
-
-    def _skip_brace_comment(self) -> None:
-        start = self._location()
-        self._advance()  # consume '{'
-        while self._pos < len(self._source):
-            if self._advance() == "}":
-                return
-        raise LexError("unterminated '{' comment", start)
-
-    def _skip_paren_comment(self) -> None:
-        start = self._location()
-        self._advance()  # consume '('
-        self._advance()  # consume '*'
-        while self._pos < len(self._source):
-            if self._peek() == "*" and self._peek(1) == ")":
-                self._advance()
-                self._advance()
-                return
-            self._advance()
-        raise LexError("unterminated '(*' comment", start)
-
-    def _next_token(self) -> Token:
-        self._skip_trivia()
-        location = self._location()
-        if self._pos >= len(self._source):
-            return Token(TokenType.EOF, "", location)
-
-        char = self._peek()
-        if char.isalpha() or char == "_":
-            return self._scan_word(location)
-        if char.isdigit():
-            return self._scan_number(location)
-        if char == "'":
-            return self._scan_string(location)
-        return self._scan_operator(location)
-
-    def _scan_word(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        while self._peek().isalnum() or self._peek() == "_":
-            chars.append(self._advance())
-        text = "".join(chars)
-        keyword = KEYWORDS.get(text.lower())
-        if keyword is not None:
-            return Token(keyword, text, location)
-        return Token(TokenType.IDENT, text, location)
-
-    def _scan_number(self, location: SourceLocation) -> Token:
-        chars: list[str] = []
-        while self._peek().isdigit():
-            chars.append(self._advance())
-        return Token(TokenType.INT_LITERAL, "".join(chars), location)
-
-    def _scan_string(self, location: SourceLocation) -> Token:
-        self._advance()  # opening quote
-        chars: list[str] = []
-        while True:
-            if self._pos >= len(self._source) or self._peek() == "\n":
-                raise LexError("unterminated string literal", location)
-            char = self._advance()
-            if char == "'":
-                if self._peek() == "'":  # '' escapes a quote
-                    chars.append(self._advance())
-                else:
-                    return Token(TokenType.STRING_LITERAL, "".join(chars), location)
-            else:
-                chars.append(char)
-
-    def _scan_operator(self, location: SourceLocation) -> Token:
-        char = self._advance()
-        if char == ":":
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenType.ASSIGN, ":=", location)
-            return Token(TokenType.COLON, ":", location)
-        if char == "<":
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenType.LE, "<=", location)
-            if self._peek() == ">":
-                self._advance()
-                return Token(TokenType.NEQ, "<>", location)
-            return Token(TokenType.LT, "<", location)
-        if char == ">":
-            if self._peek() == "=":
-                self._advance()
-                return Token(TokenType.GE, ">=", location)
-            return Token(TokenType.GT, ">", location)
-        if char == ".":
-            if self._peek() == ".":
-                self._advance()
-                return Token(TokenType.DOTDOT, "..", location)
-            return Token(TokenType.DOT, ".", location)
-        if char == "(":
-            return Token(TokenType.LPAREN, "(", location)
-        token_type = _SINGLE_CHAR_TOKENS.get(char)
-        if token_type is not None:
-            return Token(token_type, char, location)
-        raise LexError(f"unexpected character {char!r}", location)
+#: the body of a string literal after its opening quote: ``''`` is a
+#: quote, a newline ends the literal unterminated (the lookahead stops
+#: a trailing ``''`` from being split to close the literal early)
+_STRING_TAIL = re.compile(r"((?:[^'\n]|'')*)'(?!')")
 
 
 def tokenize(source: str) -> list[Token]:
-    """Convenience wrapper: scan ``source`` into a token list."""
-    return Lexer(source).tokenize()
+    """Scan ``source`` into a token list ending with EOF."""
+    with obs.span("pascal.lex"):
+        tokens = _scan(source)
+        obs.add("pascal.tokens", len(tokens))
+        return tokens
+
+
+def _scan(source: str) -> list[Token]:
+    # tokens and locations are built with tuple.__new__, skipping the
+    # NamedTuple constructor's Python-level argument handling
+    new = tuple.__new__
+    match = _MASTER.match
+    keywords = KEYWORDS.get
+    operators = _OPERATORS
+    ident = TokenType.IDENT
+    number = TokenType.INT_LITERAL
+    tokens: list[Token] = []
+    append = tokens.append
+    line = 1
+    line_start = 0
+    pos = 0
+    while True:
+        found = match(source, pos)
+        group = found.lastindex
+        end = found.end()
+        if group is None:
+            location = new(SourceLocation, (line, end - line_start + 1))
+            if end == len(source):
+                append(new(Token, (TokenType.EOF, "", location)))
+                return tokens
+            raise LexError(f"unexpected character {source[end]!r}", location)
+        if group == _NEWLINE:
+            line += 1
+            line_start = pos = end
+            continue
+        text = found[group]
+        start = end - len(text)
+        location = new(SourceLocation, (line, start - line_start + 1))
+        if group == _WORD:
+            append(new(Token, (keywords(text.lower(), ident), text, location)))
+        elif group == _OPERATOR:
+            append(new(Token, (operators[text], text, location)))
+        elif group == _NUMBER:
+            append(new(Token, (number, text, location)))
+        elif text == "'":
+            tail = _STRING_TAIL.match(source, end)
+            if tail is None:
+                raise LexError("unterminated string literal", location)
+            body = tail.group(1)
+            append(new(Token, (TokenType.STRING_LITERAL, body.replace("''", "'"), location)))
+            end = tail.end()
+        else:
+            close = "}" if text == "{" else "*)"
+            stop = source.find(close, end)
+            if stop < 0:
+                raise LexError(f"unterminated '{text}' comment", location)
+            end = stop + len(close)
+            newlines = source.count("\n", start, end)
+            if newlines:
+                line += newlines
+                line_start = source.rindex("\n", start, end) + 1
+        pos = end

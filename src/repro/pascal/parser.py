@@ -12,6 +12,7 @@ used by the paper itself:
 
 from __future__ import annotations
 
+from repro import obs
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import ParseError
 from repro.pascal.lexer import tokenize
@@ -52,6 +53,12 @@ _STATEMENT_TERMINATORS = {
 
 
 class Parser:
+    """Parses a token list that ends with EOF.
+
+    ``_advance`` never moves past the EOF token, so ``self._pos`` always
+    indexes the list and the current token needs no bounds check.
+    """
+
     def __init__(self, tokens: list[Token]):
         self._tokens = tokens
         self._pos = 0
@@ -59,12 +66,15 @@ class Parser:
     # ------------------------------------------------------------------
     # token-stream helpers
 
-    def _peek(self, offset: int = 0) -> Token:
-        index = min(self._pos + offset, len(self._tokens) - 1)
-        return self._tokens[index]
+    def _peek(self) -> Token:
+        return self._tokens[self._pos]
+
+    def _peek_next(self) -> Token:
+        """The token after the current one (EOF at the end)."""
+        return self._tokens[min(self._pos + 1, len(self._tokens) - 1)]
 
     def _check(self, token_type: TokenType) -> bool:
-        return self._peek().type is token_type
+        return self._tokens[self._pos].type is token_type
 
     def _advance(self) -> Token:
         token = self._tokens[self._pos]
@@ -73,7 +83,7 @@ class Parser:
         return token
 
     def _match(self, token_type: TokenType) -> Token | None:
-        if self._check(token_type):
+        if self._tokens[self._pos].type is token_type:
             return self._advance()
         return None
 
@@ -264,7 +274,7 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         label: str | None = None
-        if self._check(TokenType.INT_LITERAL) and self._peek(1).type is TokenType.COLON:
+        if self._check(TokenType.INT_LITERAL) and self._peek_next().type is TokenType.COLON:
             label = self._advance().text
             self._advance()  # colon
         stmt = self._parse_unlabeled_statement()
@@ -489,7 +499,8 @@ class Parser:
 
 def parse_program(source: str) -> ast.Program:
     """Parse Mini-Pascal source text into a :class:`~repro.pascal.ast_nodes.Program`."""
-    return Parser(tokenize(source)).parse_program()
+    with obs.span("pascal.parse"):
+        return Parser(tokenize(source)).parse_program()
 
 
 def parse_expression(source: str) -> ast.Expr:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.pascal.errors import SourceLocation
 
@@ -107,13 +107,12 @@ KEYWORDS: dict[str, TokenType] = {
 }
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     """A single lexical token.
 
     ``text`` preserves the original spelling (Pascal identifiers are
     case-insensitive; ``normalized`` carries the lowercase form used for
-    all name resolution).
+    all name resolution). A tuple, so the lexer can build one cheaply.
     """
 
     type: TokenType

@@ -29,6 +29,10 @@ class SourceMap:
     def record(self, new_node: ast.Node, original_node: ast.Node) -> None:
         self.to_original[new_node.node_id] = original_node.node_id
 
+    def record_ids(self, ids: dict[int, int]) -> None:
+        """Record many new id -> original id pairs at once."""
+        self.to_original.update(ids)
+
     def record_synthesized(self, new_node: ast.Node) -> None:
         self.synthesized.add(new_node.node_id)
 

@@ -172,9 +172,9 @@ class Rewriter:
         """Deep copy a subtree, recording every copied node in the map."""
         if node is None:
             return None
-        new_node = ast.clone(node)
-        for original_sub, new_sub in zip(node.walk(), new_node.walk()):
-            self.source_map.record(new_sub, original_sub)
+        ids: dict[int, int] = {}
+        new_node = ast.clone(node, ids)
+        self.source_map.record_ids(ids)
         return new_node
 
     def synthesize(self, node: ast.Node) -> ast.Node:

@@ -1,10 +1,13 @@
 """Unit tests for the Mini-Pascal scanner."""
 
+import random
+
 import pytest
 
-from repro.pascal.errors import LexError
+from repro.pascal.errors import LexError, PascalError, SourceLocation
+from repro.pascal.interpreter import run_source
 from repro.pascal.lexer import tokenize
-from repro.pascal.tokens import TokenType
+from repro.pascal.tokens import KEYWORDS, Token, TokenType
 
 
 def kinds(source):
@@ -163,6 +166,18 @@ class TestStrings:
         with pytest.raises(LexError):
             tokenize("'line\nbreak'")
 
+    @pytest.mark.parametrize("source", ["'abc''", "'abc''''", "'''''x", "'a''\n'"])
+    def test_trailing_doubled_quote_does_not_close(self, source):
+        with pytest.raises(LexError, match="unterminated string literal"):
+            tokenize(source)
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [("'abc'''", ["abc'"]), ("''''", ["'"]), ("'a'''x", ["a'", "x"]), ("'' ''", ["", ""])],
+    )
+    def test_doubled_quote_before_close(self, source, expected):
+        assert texts(source) == expected
+
 
 class TestLocations:
     def test_line_and_column_tracking(self):
@@ -189,3 +204,320 @@ class TestWholeProgram:
         tokens = tokenize(FIGURE4_SOURCE)
         assert tokens[-1].type is TokenType.EOF
         assert len(tokens) > 200
+
+
+class TestNonAsciiProgramText:
+    """Program text is ASCII outside comments and strings."""
+
+    @pytest.mark.parametrize(
+        "char",
+        ["\u00b2", "\u0663", "\u00e9", "\u00a0"],
+        ids=["superscript-two", "arabic-indic-three", "e-acute", "no-break-space"],
+    )
+    def test_rejected_with_location(self, char):
+        with pytest.raises(LexError) as info:
+            tokenize(f"x :=\n  {char}1")
+        assert info.value.message == f"unexpected character {char!r}"
+        assert info.value.location == SourceLocation(2, 3)
+
+    def test_letter_after_ascii_word_is_rejected(self):
+        with pytest.raises(LexError) as info:
+            tokenize("caf\u00e9")
+        assert info.value.location == SourceLocation(1, 4)
+
+    def test_superscript_digit_is_a_pascal_error_at_run_time(self):
+        source = "program p; var x: integer; begin x := \u00b2; writeln(x) end."
+        with pytest.raises(PascalError) as info:
+            run_source(source)
+        assert isinstance(info.value, LexError)
+        assert info.value.location == SourceLocation(1, 39)
+
+    def test_allowed_in_comments_and_strings(self):
+        tokens = tokenize("{ \u00e9 } (* \u00b2 *) '\u0663\u00a0'")
+        assert [(t.type, t.text) for t in tokens] == [
+            (TokenType.STRING_LITERAL, "\u0663\u00a0"),
+            (TokenType.EOF, ""),
+        ]
+
+
+class TestValueTypes:
+    def test_token_fields_and_str(self):
+        token = tokenize("  Foo")[0]
+        assert (token.type, token.text, token.location) == (
+            TokenType.IDENT,
+            "Foo",
+            SourceLocation(1, 3),
+        )
+        assert str(token) == "identifier 'Foo'"
+        assert str(tokenize(":=")[0]) == "':='"
+
+    def test_location_repr_and_hash(self):
+        location = SourceLocation(3, 7)
+        assert repr(location) == "SourceLocation(line=3, column=7)"
+        assert hash(location) == hash(SourceLocation(3, 7))
+        assert {location: 1}[SourceLocation(3, 7)] == 1
+
+    def test_tokens_are_immutable(self):
+        token = tokenize("a")[0]
+        with pytest.raises(AttributeError):
+            token.text = "b"  # type: ignore[misc]
+
+
+# ----------------------------------------------------------------------
+# differential check against the character-by-character scanner that the
+# regex lexer replaced, kept here verbatim as the reference
+
+
+_SINGLE_CHAR_TOKENS = {
+    "+": TokenType.PLUS,
+    "-": TokenType.MINUS,
+    "*": TokenType.STAR,
+    "/": TokenType.SLASH,
+    "=": TokenType.EQ,
+    ")": TokenType.RPAREN,
+    "[": TokenType.LBRACKET,
+    "]": TokenType.RBRACKET,
+    ",": TokenType.COMMA,
+    ";": TokenType.SEMICOLON,
+}
+
+
+class ReferenceLexer:
+    """The former scanner, one character at a time via ``_peek``/``_advance``."""
+
+    def __init__(self, source: str):
+        self._source = source
+        self._pos = 0
+        self._line = 1
+        self._column = 1
+
+    def tokenize(self) -> list[Token]:
+        """Scan the whole input, returning tokens ending with EOF."""
+        tokens: list[Token] = []
+        while True:
+            token = self._next_token()
+            tokens.append(token)
+            if token.type is TokenType.EOF:
+                return tokens
+
+    # ------------------------------------------------------------------
+    # scanning machinery
+
+    def _location(self) -> SourceLocation:
+        return SourceLocation(self._line, self._column)
+
+    def _peek(self, offset: int = 0) -> str:
+        index = self._pos + offset
+        if index < len(self._source):
+            return self._source[index]
+        return ""
+
+    def _advance(self) -> str:
+        char = self._source[self._pos]
+        self._pos += 1
+        if char == "\n":
+            self._line += 1
+            self._column = 1
+        else:
+            self._column += 1
+        return char
+
+    def _skip_trivia(self) -> None:
+        """Skip whitespace and both comment styles."""
+        while self._pos < len(self._source):
+            char = self._peek()
+            if char in " \t\r\n":
+                self._advance()
+            elif char == "{":
+                self._skip_brace_comment()
+            elif char == "(" and self._peek(1) == "*":
+                self._skip_paren_comment()
+            else:
+                return
+
+    def _skip_brace_comment(self) -> None:
+        start = self._location()
+        self._advance()  # consume '{'
+        while self._pos < len(self._source):
+            if self._advance() == "}":
+                return
+        raise LexError("unterminated '{' comment", start)
+
+    def _skip_paren_comment(self) -> None:
+        start = self._location()
+        self._advance()  # consume '('
+        self._advance()  # consume '*'
+        while self._pos < len(self._source):
+            if self._peek() == "*" and self._peek(1) == ")":
+                self._advance()
+                self._advance()
+                return
+            self._advance()
+        raise LexError("unterminated '(*' comment", start)
+
+    def _next_token(self) -> Token:
+        self._skip_trivia()
+        location = self._location()
+        if self._pos >= len(self._source):
+            return Token(TokenType.EOF, "", location)
+
+        char = self._peek()
+        if char.isalpha() or char == "_":
+            return self._scan_word(location)
+        if char.isdigit():
+            return self._scan_number(location)
+        if char == "'":
+            return self._scan_string(location)
+        return self._scan_operator(location)
+
+    def _scan_word(self, location: SourceLocation) -> Token:
+        chars: list[str] = []
+        while self._peek().isalnum() or self._peek() == "_":
+            chars.append(self._advance())
+        text = "".join(chars)
+        keyword = KEYWORDS.get(text.lower())
+        if keyword is not None:
+            return Token(keyword, text, location)
+        return Token(TokenType.IDENT, text, location)
+
+    def _scan_number(self, location: SourceLocation) -> Token:
+        chars: list[str] = []
+        while self._peek().isdigit():
+            chars.append(self._advance())
+        return Token(TokenType.INT_LITERAL, "".join(chars), location)
+
+    def _scan_string(self, location: SourceLocation) -> Token:
+        self._advance()  # opening quote
+        chars: list[str] = []
+        while True:
+            if self._pos >= len(self._source) or self._peek() == "\n":
+                raise LexError("unterminated string literal", location)
+            char = self._advance()
+            if char == "'":
+                if self._peek() == "'":  # '' escapes a quote
+                    chars.append(self._advance())
+                else:
+                    return Token(TokenType.STRING_LITERAL, "".join(chars), location)
+            else:
+                chars.append(char)
+
+    def _scan_operator(self, location: SourceLocation) -> Token:
+        char = self._advance()
+        if char == ":":
+            if self._peek() == "=":
+                self._advance()
+                return Token(TokenType.ASSIGN, ":=", location)
+            return Token(TokenType.COLON, ":", location)
+        if char == "<":
+            if self._peek() == "=":
+                self._advance()
+                return Token(TokenType.LE, "<=", location)
+            if self._peek() == ">":
+                self._advance()
+                return Token(TokenType.NEQ, "<>", location)
+            return Token(TokenType.LT, "<", location)
+        if char == ">":
+            if self._peek() == "=":
+                self._advance()
+                return Token(TokenType.GE, ">=", location)
+            return Token(TokenType.GT, ">", location)
+        if char == ".":
+            if self._peek() == ".":
+                self._advance()
+                return Token(TokenType.DOTDOT, "..", location)
+            return Token(TokenType.DOT, ".", location)
+        if char == "(":
+            return Token(TokenType.LPAREN, "(", location)
+        token_type = _SINGLE_CHAR_TOKENS.get(char)
+        if token_type is not None:
+            return Token(token_type, char, location)
+        raise LexError(f"unexpected character {char!r}", location)
+
+
+def _outcome(scan, source):
+    """(type, text, line, column) per token, or the error's message and
+    location."""
+    try:
+        tokens = scan(source)
+    except LexError as error:
+        return ("error", error.message, error.location.line, error.location.column)
+    return [(t.type, t.text, t.location.line, t.location.column) for t in tokens]
+
+
+def _reference_tokenize(source):
+    return ReferenceLexer(source).tokenize()
+
+
+def _assert_same(source):
+    assert _outcome(tokenize, source) == _outcome(_reference_tokenize, source), source
+
+
+#: what the fuzz splices in: comment and string boundaries, line ends,
+#: halves of compound operators, and characters no token starts with
+_FRAGMENTS = [
+    "(*", "*)", "(**)", "(*)", "{", "}", "{}", "'", "''", "'''", "'a''b'",
+    "\r", "\r\n", "\t", "\n", " ", "(", "*", ":", "=", ":=", "<", ">",
+    "<>", ".", "..", "0", "9x", "_", "@", "#", "$", "!", "?", "~", "`",
+    '"', "\\", "&", "|", "^", "%", "\x0c", "\x0b", "\x00",
+]
+
+#: openers left dangling at the end of the input
+_OPENERS_AT_EOF = ["(*", "{", "'", "(", "'it''", "(* x *", "{ x"]
+
+
+def _fuzz_cases(seed: int, hosts: list[str], count: int):
+    """``count`` ASCII edits of windows cut from ``hosts``: a spliced
+    fragment, a short deletion, a truncation, or an opener at EOF. A
+    window may itself start or end inside a comment or string."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        host = rng.choice(hosts)
+        at = rng.randrange(len(host) + 1)
+        lo = max(0, at - rng.randrange(1, 120))
+        hi = min(len(host), at + rng.randrange(1, 120))
+        edit = rng.randrange(4)
+        if edit == 0:
+            yield host[lo:at] + rng.choice(_FRAGMENTS) + host[at:hi]
+        elif edit == 1:
+            yield host[lo:at] + host[min(hi, at + rng.randrange(1, 4)):hi]
+        elif edit == 2:
+            yield host[lo:at]
+        else:
+            yield host[lo:at] + rng.choice(_OPENERS_AT_EOF)
+
+
+class TestDifferentialAgainstReference:
+    def test_paper_programs(self):
+        from repro.workloads import paper_programs
+
+        sources = [
+            getattr(paper_programs, name)
+            for name in dir(paper_programs)
+            if name.endswith("_SOURCE")
+        ]
+        assert len(sources) >= 6
+        for source in sources:
+            _assert_same(source)
+
+    def test_corpus_seeds(self):
+        from repro.tgen.corpus import generate_program
+
+        for seed in range(200):
+            _assert_same(generate_program(seed))
+
+    def test_fuzzed_boundaries(self):
+        from repro.tgen.corpus import generate_program
+        from repro.workloads import FIGURE4_SOURCE, SECTION3_SOURCE
+
+        hosts = [
+            FIGURE4_SOURCE,
+            SECTION3_SOURCE,
+            generate_program(7),
+            generate_program(8),
+            "a (* x *) b { y\n } 'it''s' c := d <= e <> f .. g.\r\n\th (**) i",
+        ]
+        errors = 0
+        for text in _fuzz_cases(20261017, hosts, 3000):
+            _assert_same(text)
+            errors += _outcome(tokenize, text)[0] == "error"
+        assert 300 < errors < 2700  # both outcomes are well exercised

@@ -314,6 +314,38 @@ class TestPipelineInstrumentation:
         assert all(span["duration_s"] > 0 for span in spans)
 
 
+    def test_front_half_spans_and_token_counter(self, observing):
+        from repro.pascal.lexer import tokenize
+        from repro.pascal.parser import parse_program
+
+        tokens = len(tokenize(FIGURE4_SOURCE))
+        parse_program(FIGURE4_SOURCE)
+        snap = obs.snapshot(include_cache=False)
+        assert snap["counters"]["pascal.tokens"] == 2 * tokens
+        assert snap["histograms"]["pascal.lex"]["count"] == 2
+        assert snap["histograms"]["pascal.parse"]["count"] == 1
+        spans = [event for event in obs.events() if event["kind"] == "span"]
+        assert [span["name"] for span in spans] == [
+            "pascal.lex",
+            "pascal.lex",
+            "pascal.parse",
+        ]
+        # parse_program lexes inside its own span
+        assert spans[0]["parent"] is None
+        assert spans[1]["parent"] == "pascal.parse"
+        assert spans[1]["depth"] == 1
+
+    def test_front_half_spans_on_lex_error(self, observing):
+        from repro.pascal.errors import LexError
+        from repro.pascal.parser import parse_program
+
+        with pytest.raises(LexError):
+            parse_program("program p; begin @ end.")
+        spans = [event for event in obs.events() if event["kind"] == "span"]
+        assert [span["name"] for span in spans] == ["pascal.lex", "pascal.parse"]
+        assert "pascal.tokens" not in obs.snapshot(include_cache=False)["counters"]
+
+
 class TestReportRendering:
     def test_answer_sources_line(self):
         from repro.obs.report import render_answer_sources

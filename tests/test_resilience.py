@@ -385,6 +385,45 @@ class TestCachePersistence:
             "entries": 0, "hits": 0, "misses": 0, "corrupt": 0,
         }
 
+    def test_entry_of_an_older_layout_is_a_plain_miss(self, persisted, monkeypatch):
+        import dataclasses
+        import hashlib
+
+        from repro.pascal import errors
+
+        # An entry pickled when SourceLocation was a frozen dataclass,
+        # filed under the untagged name the cache used before
+        # DISK_FORMAT: unloadable now, since the class is a tuple.
+        @dataclasses.dataclass(frozen=True)
+        class SourceLocation:
+            line: int = 0
+            column: int = 0
+
+        SourceLocation.__module__ = errors.__name__
+        SourceLocation.__qualname__ = "SourceLocation"
+        with monkeypatch.context() as patch:
+            patch.setattr(errors, "SourceLocation", SourceLocation)
+            stale = pickle.dumps(["value", SourceLocation(3, 7)])
+        with pytest.raises(AttributeError, match="__dict__"):
+            pickle.loads(stale)
+        backend = cache.DiskCacheBackend(persisted, "layout")
+        store = cache.ContentCache("layout", persist=backend)
+        key = cache.source_key("program p")
+        untagged = hashlib.sha256(repr(key).encode("utf-8")).hexdigest()
+        (backend.directory / f"{untagged}.entry").write_bytes(cache.seal_payload(stale))
+        with monkeypatch.context() as patch:  # and one under an older tag
+            patch.setattr(cache, "DISK_FORMAT", "gadt-cache/1")
+            backend.store(key, stale)
+
+        rebuilt = store.get_or_build(key, lambda: "rebuilt")
+        assert rebuilt == "rebuilt"
+        assert store.stats()["corrupt"] == 0
+        assert store.misses == 1 and store.disk_hits == 0
+        assert not list(backend.directory.glob("*.corrupt"))
+        store.clear()
+        assert store.get_or_build(key, lambda: "again") == "rebuilt"
+        assert store.disk_hits == 1
+
     def test_no_tmp_files_left_behind(self, persisted):
         backend = cache.DiskCacheBackend(persisted, "atomic")
         backend.store(("k",), {"v": 1})
