@@ -83,11 +83,11 @@ def _best_of(repeats, fn):
     return best, value
 
 
-def measure_series(depths=DEPTHS, repeats=1, backend=None):
+def measure_series(depths=DEPTHS, repeats=1, backend="interp"):
     """Per-depth, per-stage wall times over the call-tree family.
 
-    ``backend`` picks the execution engine for the run and trace stages
-    (``None`` defers to ``REPRO_BACKEND``); slicing and debugging
+    ``backend`` picks the execution engine for both the run and the
+    trace stage, so each row measures one engine; slicing and debugging
     consume the trace and are backend-independent.
     """
     rows = []
@@ -122,7 +122,7 @@ def measure_series(depths=DEPTHS, repeats=1, backend=None):
 
         rows.append(
             {
-                "backend": backend or "interp",
+                "backend": backend,
                 "depth": depth,
                 "leaves": 2**depth,
                 "tree_nodes": trace.tree.size(),

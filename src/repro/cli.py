@@ -33,8 +33,8 @@ command), ``--events PATH`` (stream observability events as JSONL), and
 ``repro replay`` re-runs deterministically and ``repro export`` turns
 into a Perfetto/Chrome trace); see ``docs/OBSERVABILITY.md``. The same subcommands take ``--backend
 {interp,compiled}`` to pick the execution engine (default: the
-``REPRO_BACKEND`` environment variable, else the interpreter); see
-``docs/COMPILER.md``.
+``REPRO_BACKEND`` environment variable, else compiled for traces and
+the interpreter for plain runs); see ``docs/COMPILER.md``.
 
 ``run``, ``trace``, ``debug``, and ``mutate`` take ``--deadline S`` (a
 wall-clock budget for program execution; a blown budget exits 2 — or,
@@ -655,7 +655,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         choices=["interp", "compiled"],
         default=None,
-        help="execution engine (default: $REPRO_BACKEND, else interp)",
+        help="execution engine (default: $REPRO_BACKEND, else compiled "
+        "for traces and interp for plain runs)",
     )
 
     run_parser = sub.add_parser(

@@ -1,20 +1,26 @@
 """``repro.compile`` — the compiled execution backend.
 
 Compiles a mini-Pascal :class:`~repro.pascal.semantics.AnalyzedProgram`
-into Python closures once, then runs the closures with trace events
-emitted inline (see :mod:`repro.compile.compiler` and
-:mod:`repro.compile.emit`). The tree-walking interpreter in
-:mod:`repro.pascal.interpreter` stays as the conformance oracle; both
-backends sit behind ``run_source(..., backend=...)`` /
-``trace_source(..., backend=...)`` and the CLI's ``--backend`` flag,
-with the ``REPRO_BACKEND`` environment variable as the process default.
+into Python closures, then runs the closures with trace events emitted
+inline (see :mod:`repro.compile.compiler` and :mod:`repro.compile.emit`).
+It is the engine every trace runs on by default. Plain (untraced) runs
+stay on the tree-walking interpreter by default: it is the reference
+the conformance checks compare the compiled engine against, and a
+one-shot run of a short program costs less to interpret than to
+compile. Both engines sit behind ``run_source(..., backend=...)`` /
+``trace_source(..., backend=...)`` and the CLI's ``--backend`` flag;
+the ``REPRO_BACKEND`` environment variable, when set, picks the engine
+for plain runs and traces alike.
 
-Compiled programs are content-addressed in :mod:`repro.cache` (cache
-name ``"compile"``): within a process, re-tracing the same analyzed
-program — the mutant sweep's hot pattern is hundreds of traces over a
-handful of programs — skips compilation entirely. The cache is marked
-non-persistable: closures capture symbol objects and analysis tables by
-identity, so they are meaningless outside the process that built them.
+A program is compiled in the one form its caller runs (plain or
+traced), and each routine body only on its first call, so a trace pays
+for the code it executes. Compiled programs are cached in
+:mod:`repro.cache` (cache name ``"compile"``) by analysis identity,
+form, and loop-unit registration, so re-tracing one program (serve,
+replay) skips compilation. The cache is small — almost every sweep
+trace is of new text — and non-persistable: closures capture symbol
+objects and analysis tables by identity, so they are meaningless
+outside the process that built them.
 """
 
 from __future__ import annotations
@@ -26,14 +32,17 @@ from repro import cache, obs
 BACKENDS = ("interp", "compiled")
 ENV_VAR = "REPRO_BACKEND"
 
-_COMPILE_CACHE = cache.register("compile", max_entries=64, persistable=False)
+#: Enough to re-trace one program (serve, replay) without recompiling;
+#: sweep traces are almost all of new text and would only pile up here.
+_COMPILE_CACHE = cache.register("compile", max_entries=8, persistable=False)
 
 
-def default_backend() -> str:
-    """The process-wide default backend (``REPRO_BACKEND`` or interp)."""
+def default_backend(traced: bool = True) -> str:
+    """The default engine: ``REPRO_BACKEND`` if set, else ``compiled``
+    for traces and ``interp`` for plain runs."""
     raw = os.environ.get(ENV_VAR)
     if raw is None:
-        return "interp"
+        return "compiled" if traced else "interp"
     backend = raw.strip().lower()
     if backend not in BACKENDS:
         raise ValueError(
@@ -42,10 +51,11 @@ def default_backend() -> str:
     return backend
 
 
-def resolve_backend(backend: str | None) -> str:
-    """Validate an explicit backend choice, or fall back to the default."""
+def resolve_backend(backend: str | None, traced: bool = True) -> str:
+    """Validate an explicit backend choice, or fall back to the default
+    for a trace (``traced``) or a plain run."""
     if backend is None:
-        return default_backend()
+        return default_backend(traced)
     if backend not in BACKENDS:
         raise ValueError(
             f"unknown backend {backend!r}: expected one of {', '.join(BACKENDS)}"
@@ -71,19 +81,25 @@ def _loop_fingerprint(loop_units) -> tuple:
     )
 
 
-def compile_program(analysis, side_effects=None, loop_units=None):
+def compile_program(analysis, side_effects=None, loop_units=None, *, traced: bool):
     """The :class:`~repro.compile.compiler.CompiledProgram` for an
-    analyzed program, compiled at most once per (analysis, loop-unit)
-    pair per process."""
+    analyzed program in one form (``traced`` or plain), served from the
+    compile cache while the same analysis, form, and loop-unit
+    registration are re-run. Routine bodies compile on their first
+    call."""
     from repro.compile.compiler import compile_analysis
 
-    key = (id(analysis), _loop_fingerprint(loop_units))
+    # Plain closures ignore side effects and loop units.
+    key = (id(analysis), traced, _loop_fingerprint(loop_units) if traced else ())
     hits_before = _COMPILE_CACHE.hits
 
     def build():
         with obs.span("compile.time", program=analysis.program.name):
             program = compile_analysis(
-                analysis, side_effects=side_effects, loop_units=loop_units
+                analysis,
+                side_effects=side_effects,
+                loop_units=loop_units,
+                traced=traced,
             )
         obs.add("compile.programs")
         return program
@@ -101,7 +117,7 @@ def run_compiled(
     ``Interpreter(...).run()``."""
     from repro.compile.runtime import Runtime
 
-    program = compile_program(analysis)
+    program = compile_program(analysis, traced=False)
     return Runtime(program, io=io, step_limit=step_limit, budget=budget).run()
 
 
@@ -121,7 +137,7 @@ def compiled_trace_session(
     from repro.pascal.interpreter import PascalIO
 
     program = compile_program(
-        analysis, side_effects=side_effects, loop_units=loop_units
+        analysis, side_effects=side_effects, loop_units=loop_units, traced=True
     )
     return TraceSession(
         program,

@@ -4,9 +4,19 @@ One :class:`Compiler` pass walks the analyzed AST and emits a tree of
 Python closures — one per statement/expression — specialized on
 everything the analysis already knows: symbol→slot assignments, static
 ``up``-link hop counts for nested routines, operator identity, loop-unit
-membership, binding plans. Two passes run per program (``traced=False``
-and ``traced=True``), producing the two entry points bundled in
-:class:`CompiledProgram`.
+membership, binding plans. A compiler emits one form, plain
+(``traced=False``) or traced (``traced=True``), and a
+:class:`CompiledProgram` carries that form's entry point.
+
+Only the main body compiles up front. Each routine body is reached
+through a one-element ``body_refs`` cell that first holds a stub; the
+stub compiles the body on the routine's first call, stores it in the
+cell, and runs it. Routines a run never calls are never compiled, and
+neither are their call sites or the binding plans those would need.
+The stub is safe to race (``repro serve --executor thread`` shares
+cached programs between jobs): compiling is a pure function of the
+analysis, so two threads that both miss build equivalent closures, and
+the cell write is a single store, so every caller runs a complete body.
 
 Traced closures carry their event emission *inline*: the statement
 prologue (:func:`repro.compile.emit.enter_stmt`) allocates the
@@ -25,6 +35,9 @@ lists catch :class:`GotoSignal` for their own labels only).
 
 from __future__ import annotations
 
+from time import perf_counter
+
+from repro import obs
 from repro.analysis.sideeffects import analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
@@ -42,7 +55,7 @@ from repro.compile.runtime import CCell, CFrame, adapt_value, tick
 
 
 class CompiledProgram:
-    """Both compiled forms of one analyzed program (plain and traced),
+    """One compiled form (plain or ``traced``) of an analyzed program,
     plus everything a :class:`~repro.compile.runtime.Runtime` needs to
     set up a run. Holds a strong reference to its analysis so the
     ``id(analysis)``-keyed compile cache can never alias a reused id."""
@@ -52,29 +65,30 @@ class CompiledProgram:
         "side_effects",
         "loop_units",
         "global_symbols",
-        "plain_main",
-        "traced_main",
+        "main",
     )
 
-    def __init__(self, analysis, side_effects, loop_units, plain_main, traced_main):
+    def __init__(self, analysis, side_effects, loop_units, main):
         self.analysis = analysis
         self.side_effects = side_effects
         self.loop_units = loop_units
         self.global_symbols = list(analysis.main.locals)
-        self.plain_main = plain_main
-        self.traced_main = traced_main
+        self.main = main
 
 
 def compile_analysis(
-    analysis: AnalyzedProgram, side_effects=None, loop_units=None
+    analysis: AnalyzedProgram, side_effects=None, loop_units=None, *, traced: bool
 ) -> CompiledProgram:
-    """Compile an analyzed program into both backend forms."""
-    if side_effects is None:
-        side_effects = analyze_side_effects(analysis)
-    loop_units = dict(loop_units) if loop_units else {}
-    plain_main = Compiler(analysis, side_effects, loop_units, traced=False).compile_main()
-    traced_main = Compiler(analysis, side_effects, loop_units, traced=True).compile_main()
-    return CompiledProgram(analysis, side_effects, loop_units, plain_main, traced_main)
+    """Compile an analyzed program into one backend form. Side effects
+    and loop units only shape the traced form."""
+    if traced:
+        if side_effects is None:
+            side_effects = analyze_side_effects(analysis)
+        loop_units = dict(loop_units) if loop_units else {}
+    else:
+        side_effects, loop_units = None, {}
+    main = Compiler(analysis, side_effects, loop_units, traced).compile_main()
+    return CompiledProgram(analysis, side_effects, loop_units, main)
 
 
 def _lex_depth(routine_symbol) -> int:
@@ -159,12 +173,27 @@ class Compiler:
         ]
         for symbol, info in routines:
             self.layouts[symbol] = _Layout(info)
-            self.body_refs[symbol] = [None]
-        for symbol, info in routines:
-            ctx = _Ctx(info, owner=symbol, lex_depth=self.layouts[symbol].lex_depth)
-            self.body_refs[symbol][0] = self.compile_stmt(ctx, info.block.body)
+            body_ref = self.body_refs[symbol] = [None]
+            body_ref[0] = self._compile_on_first_call(symbol, info, body_ref)
         main_ctx = _Ctx(main, owner=None, lex_depth=0)
         return self.compile_stmt(main_ctx, main.block.body)
+
+    def _compile_on_first_call(self, symbol, info, body_ref):
+        """The stub a routine's body cell holds until its first call."""
+        ctx = _Ctx(info, owner=symbol, lex_depth=self.layouts[symbol].lex_depth)
+
+        def first_call(rt, frame):
+            started = perf_counter()
+            with obs.span("compile.routine", routine=info.name):
+                body = self.compile_stmt(ctx, info.block.body)
+            obs.add("compile.routines")
+            body_ref[0] = body
+            if self.traced and rt.prof is not None:
+                # Hot-spot self time is the program's, not the compiler's.
+                rt.prof.skip(perf_counter() - started)
+            return body(rt, frame)
+
+        return first_call
 
     # ------------------------------------------------------------------
     # storage access

@@ -166,7 +166,7 @@ class TraceSession(Runtime):
         self._enter_main()
         with _RecursionHeadroom():
             try:
-                self.program.traced_main(self, frame)
+                self.program.main(self, frame)
             except GotoSignal as signal:
                 raise PascalRuntimeError(
                     f"goto {signal.label.name} escaped the program", signal.location

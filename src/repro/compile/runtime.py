@@ -163,7 +163,7 @@ class Runtime:
         frame = self.globals_frame
         with _RecursionHeadroom():
             try:
-                self.program.plain_main(self, frame)
+                self.program.main(self, frame)
             except GotoSignal as signal:
                 raise PascalRuntimeError(
                     f"goto {signal.label.name} escaped the program", signal.location

@@ -114,7 +114,8 @@ class GadtSystem:
         itself can be debugged.
 
         ``backend`` selects the trace execution engine (``"interp"`` |
-        ``"compiled"``; ``None`` defers to ``REPRO_BACKEND``).
+        ``"compiled"``; ``None`` means ``REPRO_BACKEND`` if set, else
+        ``"compiled"``).
 
         ``budget`` (a :class:`repro.resilience.Budget`) bounds the trace;
         with ``degrade``, blowing it salvages a depth-capped partial tree

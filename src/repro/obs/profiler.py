@@ -68,6 +68,11 @@ class HotspotProfiler:
         if self._stack:
             self._stack.pop()
 
+    def skip(self, seconds: float) -> None:
+        """Leave the last ``seconds`` uncharged: one-time work inside a
+        unit that is not the program's own (a first-call compile)."""
+        self._mark += seconds
+
     @property
     def total_s(self) -> float:
         return sum(self.self_s.values())

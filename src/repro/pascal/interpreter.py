@@ -952,16 +952,19 @@ def run_source(
     raises :class:`repro.resilience.BudgetExceeded`.
 
     ``backend`` picks the execution engine (``"interp"`` |
-    ``"compiled"``; ``None`` defers to ``REPRO_BACKEND``). Custom
-    ``hooks`` force the interpreter — the hook protocol is exactly the
-    indirection the compiled backend removes."""
+    ``"compiled"``). ``None`` means ``REPRO_BACKEND`` if set, else the
+    interpreter: plain runs are the reference the conformance checks
+    compare the compiled engine against, and a one-shot run costs less
+    to interpret than to compile. Custom ``hooks`` force the
+    interpreter — the hook protocol is exactly the indirection the
+    compiled backend removes."""
     from repro.pascal.semantics import analyze_source
 
     analysis = analyze_source(source)
     if hooks is None:
         from repro.compile import resolve_backend
 
-        if resolve_backend(backend) == "compiled":
+        if resolve_backend(backend, traced=False) == "compiled":
             from repro.compile import run_compiled
 
             return run_compiled(

@@ -32,6 +32,7 @@ completed. The call itself never raises for task-level failures.
 
 from __future__ import annotations
 
+import gc
 import time
 from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from concurrent.futures import TimeoutError as FuturesTimeoutError
@@ -66,6 +67,10 @@ _START_QUEUE = None  # set per worker process by _pool_init
 
 def _pool_init(start_queue, user_initializer, user_initargs) -> None:
     global _START_QUEUE
+    # Move the heap a forked worker inherits into the permanent
+    # generation (an O(1) splice), so the worker's own collections walk
+    # only what its tasks allocate, not the parent's whole heap.
+    gc.freeze()
     _START_QUEUE = start_queue
     if user_initializer is not None:
         user_initializer(*user_initargs)

@@ -524,8 +524,9 @@ def trace_program(
     ``backend`` selects the execution engine: ``"interp"`` (the
     tree-walking interpreter driving a :class:`Tracer` through hooks) or
     ``"compiled"`` (closures from :mod:`repro.compile` with inline
-    event emission). ``None`` defers to ``REPRO_BACKEND``. Both produce
-    the same :class:`TraceResult`, bit-for-bit.
+    event emission). ``None`` means ``REPRO_BACKEND`` if set, else
+    ``"compiled"``. Both produce the same :class:`TraceResult`,
+    bit-for-bit.
 
     ``budget`` (a :class:`repro.resilience.Budget`) bounds the trace:
     deadline and step/depth limits in the interpreter, plus a tree-node

@@ -288,11 +288,17 @@ def test_custom_hooks_force_the_interpreter():
 
 def test_backend_resolution(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert default_backend() == "interp"
-    assert resolve_backend(None) == "interp"
-    assert resolve_backend("compiled") == "compiled"
+    assert default_backend() == "compiled"
+    assert default_backend(traced=False) == "interp"
+    assert resolve_backend(None) == "compiled"
+    assert resolve_backend(None, traced=False) == "interp"
+    assert resolve_backend("compiled", traced=False) == "compiled"
+    assert resolve_backend("interp") == "interp"
     monkeypatch.setenv("REPRO_BACKEND", "Compiled ")
     assert default_backend() == "compiled"
+    assert default_backend(traced=False) == "compiled"
+    monkeypatch.setenv("REPRO_BACKEND", "interp")
+    assert default_backend() == "interp"
     monkeypatch.setenv("REPRO_BACKEND", "turbo")
     with pytest.raises(ValueError, match="turbo"):
         default_backend()

@@ -345,6 +345,33 @@ class TestPipelineInstrumentation:
         assert [span["name"] for span in spans] == ["pascal.lex", "pascal.parse"]
         assert "pascal.tokens" not in obs.snapshot(include_cache=False)["counters"]
 
+    def test_first_call_routine_compiles_are_spans_inside_the_trace(
+        self, observing
+    ):
+        from repro.cache import clear_caches
+        from repro.tracing import trace_source
+
+        clear_caches()
+        trace_source(FIGURE4_SOURCE, backend="compiled")
+        routines = [
+            event
+            for event in obs.events()
+            if event["kind"] == "span" and event["name"] == "compile.routine"
+        ]
+        snap = obs.snapshot(include_cache=False)
+        assert routines
+        assert snap["counters"]["compile.routines"] == len(routines)
+        assert snap["histograms"]["compile.routine"]["count"] == len(routines)
+        # Compiled on first call, so inside the run, not inside compile.time.
+        assert {event["parent"] for event in routines} == {"trace.execute"}
+        assert len({event["routine"] for event in routines}) == len(routines)
+        # A second trace of the same program reuses the compiled bodies.
+        trace_source(FIGURE4_SOURCE, backend="compiled")
+        assert (
+            obs.snapshot(include_cache=False)["counters"]["compile.routines"]
+            == len(routines)
+        )
+
 
 class TestReportRendering:
     def test_answer_sources_line(self):

@@ -7,22 +7,20 @@ them fast. Process-mode crash handling is covered by
 """
 
 import asyncio
-import os
 
 import pytest
 
 from repro import obs
+from repro.compile import resolve_backend
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve import DebugService, ServeConfig, TERMINAL_STATUSES
 from repro.workloads import FIGURE4_FIXED_SOURCE, FIGURE4_SOURCE
 
 #: ~0.3s of execution work — long enough to hold a worker slot. The
-#: compiled backend traces ~10x faster, so scale the loop to keep the
-#: queue-timing windows open when the suite runs REPRO_BACKEND=compiled.
-_SLOW_ITERATIONS = (
-    1_000_000 if os.environ.get("REPRO_BACKEND") == "compiled" else 100_000
-)
+#: compiled backend traces ~10x faster, so scale the loop to the engine
+#: serve jobs trace on to keep the queue-timing windows open.
+_SLOW_ITERATIONS = 1_000_000 if resolve_backend(None) == "compiled" else 100_000
 SLOW_SOURCE = f"""\
 program slow;
 var i : integer;
