@@ -11,7 +11,9 @@ For every seed the checker verifies, on the program emitted by
 3. **debug invariance** — with a deterministic single-fault mutation
    injected, every search strategy localizes the same unit, and
    ``dq-optimal`` asks no more questions than classic divide-and-query
-   (Insa & Silva's optimality claim).
+   (Insa & Silva's optimality claim). The mutant's run, on an analysis
+   patched from its host's, must also match a run on a parse of its
+   text.
 
 Run it directly for the full parallel sweep (crash-isolated via
 ``repro.resilience.pool``)::
@@ -36,7 +38,7 @@ from random import Random
 from repro.compile import BACKENDS
 from repro.core import AlgorithmicDebugger, ReferenceOracle
 from repro.core.strategies import available_strategies
-from repro.pascal import analyze_source, print_program, run_source
+from repro.pascal import Interpreter, analyze_source, print_program, run_source
 from repro.resilience.pool import run_isolated
 from repro.tgen.corpus import CorpusConfig, generate_program
 from repro.tracing import trace_source
@@ -127,23 +129,37 @@ def check_seed(
 
 
 def _pick_mutant(seed: int, source: str, baseline: str):
-    """A deterministic single-fault mutant that visibly misbehaves."""
+    """A deterministic single-fault mutant that visibly misbehaves, and
+    its run."""
     mutants = generate_mutants(source, include_constants=True)
     Random(seed).shuffle(mutants)
     for mutant in mutants[:MUTANT_PROBES]:
         try:
-            output = run_source(mutant.source, step_limit=STEP_LIMIT).output
+            run = run_source(mutant.source, step_limit=STEP_LIMIT)
         except Exception:
             continue  # crashing mutants are out of scope here
-        if output != baseline:
-            return mutant
-    return None
+        if run.output != baseline:
+            return mutant, run
+    return None, None
 
 
 def _check_strategies(seed: int, source: str, baseline: str) -> dict:
-    mutant = _pick_mutant(seed, source, baseline)
+    mutant, run = _pick_mutant(seed, source, baseline)
     if mutant is None:
         return {"checked": False}
+    # The mutant ran on an analysis patched from its host's; a parse of
+    # its text is the independent reference.
+    reference = Interpreter(
+        analyze_source(mutant.source, cached=False), step_limit=STEP_LIMIT
+    ).run()
+    if (run.output, run.steps) != (reference.output, reference.steps):
+        raise CorpusCheckFailure(
+            seed,
+            "patch",
+            f"{mutant.description!r} ran {run.steps} steps on its patched "
+            f"analysis, {reference.steps} on a parse of its text",
+            mutant.source,
+        )
     trace = trace_source(mutant.source, step_limit=STEP_LIMIT)
     oracle = ReferenceOracle(analyze_source(source))
     blamed: dict[str, str | None] = {}

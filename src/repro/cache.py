@@ -15,6 +15,14 @@ resolution tables, and the mutation generator never writes to the tree
 host's text). Tracing and debugging state always lives in per-run
 objects (trees, dependence graphs), never in the analysis.
 
+A text need not be parsed to be analysed. The ``patch`` cache holds
+recipes (:class:`repro.pascal.semantics.AnalysisPatch`) registered by
+the mutation generator, keyed like the ``analysis`` cache by the digest
+of the mutant text they build. An ``analysis`` miss on such a text
+builds it by patching the analysis of the printed host, sharing every
+node and side table it does not change. Recipes are in memory only and
+bounded; one that is evicted or cleared only costs a parse.
+
 Caches are bounded LRU (a mutation sweep over thousands of distinct
 mutant sources must not retain every analysis), can be disabled globally
 with :func:`set_enabled`, cleared with :func:`clear_caches`, and report
@@ -160,6 +168,24 @@ class ContentCache:
         if self.persist is not None:
             self.persist.store(key, value)
         return value
+
+    def peek(self, key: tuple) -> Any:
+        """The value stored under ``key`` (counted as a hit), or None (a
+        miss). Nothing is built and recency is not updated, so a
+        concurrent eviction cannot break the lookup."""
+        if not _ENABLED:
+            return None
+        value = self._store.get(key)
+        if value is None:
+            self.misses += 1
+        else:
+            self.hits += 1
+        return value
+
+    def put(self, key: tuple, value: Any) -> None:
+        """Store ``value`` under ``key`` (in memory only)."""
+        if _ENABLED:
+            self._put(key, value)
 
     def _put(self, key: tuple, value: Any) -> None:
         self._store[key] = value

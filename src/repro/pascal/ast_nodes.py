@@ -1,9 +1,20 @@
 """Abstract syntax tree for Mini-Pascal.
 
 Every node carries a :class:`~repro.pascal.errors.SourceLocation` and a
-process-unique ``node_id``. The ids let later phases (transformation,
-slicing, execution-tree construction) refer to specific constructs and
-maintain original-to-transformed mappings without identity hacks.
+``node_id``, unique within one program. The ids let later phases
+(transformation, slicing, execution-tree construction) refer to
+specific constructs and maintain original-to-transformed mappings
+without identity hacks.
+
+Ids are *not* unique across programs: a mutant's analysis is a patch of
+its host's (:class:`~repro.pascal.semantics.AnalysisPatch`), whose
+copied nodes keep their base's ids and whose other nodes are the base's
+own. Every id-keyed consumer works within one program: the side tables
+of an analysis, the tracer and the compiler (statement and loop ids of
+the program they run; the compile cache is keyed by the analysis
+object), a transformation's ``SourceMap`` and the transparency layer
+(transformed ids to ids of the one original program). The reference
+oracle matches questions by unit name and inputs, never by id.
 
 Nodes are plain mutable dataclasses: the transformation phase rewrites
 trees by building new nodes, and :func:`clone` produces deep copies with
@@ -32,7 +43,9 @@ def _next_id() -> int:
 _CHILD_FIELDS: dict[type, tuple[str, ...]] = {}
 
 
-def _child_fields(cls: type) -> tuple[str, ...]:
+def child_fields(cls: type) -> tuple[str, ...]:
+    """The names of ``cls``'s fields other than ``location`` and
+    ``node_id``, in declaration order."""
     names = _CHILD_FIELDS.get(cls)
     if names is None:
         names = _CHILD_FIELDS[cls] = tuple(
@@ -51,7 +64,7 @@ class Node:
     def children(self) -> list["Node"]:
         """Direct child nodes in syntactic order (a fresh list)."""
         kids: list[Node] = []
-        for name in _child_fields(type(self)):
+        for name in child_fields(type(self)):
             value = getattr(self, name)
             if isinstance(value, Node):
                 kids.append(value)
@@ -345,7 +358,7 @@ def clone(node: Node, ids: dict[int, int] | None = None) -> Node:
     if not isinstance(node, Node):
         return node
     kwargs = {"location": node.location}
-    for name in _child_fields(type(node)):
+    for name in child_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
             kwargs[name] = clone(value, ids)

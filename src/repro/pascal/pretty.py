@@ -36,6 +36,8 @@ _RELATIONAL_OPS = {"=", "<>", "<", "<=", ">", ">="}
 
 _UNARY_PRECEDENCE = 4
 
+_ATOM_PRECEDENCE = 10
+
 
 class PrettyPrinter:
     def __init__(self, indent: str = "  "):
@@ -49,6 +51,8 @@ class PrettyPrinter:
         #: :meth:`format_expr` prints ``_substitute`` in place of ``_original``
         self._original: ast.Expr | None = None
         self._substitute: ast.Expr | None = None
+        #: see :meth:`format_head`
+        self._anchors: dict[int, int] | None = None
 
     # ------------------------------------------------------------------
     # entry points
@@ -204,35 +208,58 @@ class PrettyPrinter:
         the whole of an assignment or call, the header of an ``if``,
         ``while`` or ``for`` (never the body), the ``until`` of a
         ``repeat``."""
+        out: list[str] = []
         if isinstance(stmt, ast.Repeat):
-            return f"until {self.format_expr(stmt.condition)}"
-        prefix = _label_prefix(stmt)
+            out.append("until ")
+            self._write_expr(stmt.condition, 0, out)
+            return "".join(out)
+        out.append(_label_prefix(stmt))
         if isinstance(stmt, ast.Assign):
-            return f"{prefix}{self.format_expr(stmt.target)} := {self.format_expr(stmt.value)}"
-        if isinstance(stmt, ast.ProcCall):
-            args = ", ".join(self.format_expr(arg) for arg in stmt.args)
-            call = f"{stmt.name}({args})" if stmt.args else stmt.name
-            return f"{prefix}{call}"
-        if isinstance(stmt, ast.If):
-            return f"{prefix}if {self.format_expr(stmt.condition)} then"
-        if isinstance(stmt, ast.While):
-            return f"{prefix}while {self.format_expr(stmt.condition)} do"
-        if isinstance(stmt, ast.For):
-            direction = "downto" if stmt.downto else "to"
-            return (
-                f"{prefix}for {stmt.variable} := {self.format_expr(stmt.start)} "
-                f"{direction} {self.format_expr(stmt.stop)} do"
-            )
-        raise TypeError(f"statement {stmt!r} has no expression line")
+            self._write_expr(stmt.target, 0, out)
+            out.append(" := ")
+            self._write_expr(stmt.value, 0, out)
+        elif isinstance(stmt, ast.ProcCall):
+            out.append(stmt.name)
+            if stmt.args:
+                out.append("(")
+                self._write_list(stmt.args, out)
+                out.append(")")
+        elif isinstance(stmt, ast.If):
+            out.append("if ")
+            self._write_expr(stmt.condition, 0, out)
+            out.append(" then")
+        elif isinstance(stmt, ast.While):
+            out.append("while ")
+            self._write_expr(stmt.condition, 0, out)
+            out.append(" do")
+        elif isinstance(stmt, ast.For):
+            out.append(f"for {stmt.variable} := ")
+            self._write_expr(stmt.start, 0, out)
+            out.append(" downto " if stmt.downto else " to ")
+            self._write_expr(stmt.stop, 0, out)
+            out.append(" do")
+        else:
+            raise TypeError(f"statement {stmt!r} has no expression line")
+        return "".join(out)
 
-    def format_head(self, stmt: ast.Stmt, original: ast.Expr, substitute: ast.Expr) -> str:
+    def format_head(
+        self,
+        stmt: ast.Stmt,
+        original: ast.Expr,
+        substitute: ast.Expr,
+        anchors: dict[int, int] | None = None,
+    ) -> str:
         """:meth:`_head` of ``stmt`` with ``substitute`` printed in place of
-        ``original``, one of the expressions on that line."""
+        ``original``, one of the expressions on that line. ``anchors``, if
+        given, receives node id -> offset in the returned text of the
+        token a parse locates each printed expression at: an operator's
+        own token, else the expression's first token."""
         self._original, self._substitute = original, substitute
+        self._anchors = anchors
         try:
             return self._head(stmt)
         finally:
-            self._original = self._substitute = None
+            self._original = self._substitute = self._anchors = None
 
     def _print_indented(self, stmt: ast.Stmt) -> None:
         if isinstance(stmt, ast.Compound) and stmt.label is None:
@@ -260,51 +287,86 @@ class PrettyPrinter:
     # expressions
 
     def format_expr(self, expr: ast.Expr, parent_precedence: int = 0) -> str:
+        out: list[str] = []
+        self._write_expr(expr, parent_precedence, out)
+        return "".join(out)
+
+    def _write_expr(self, expr: ast.Expr, floor: int, out: list[str]) -> None:
+        """Append the text of ``expr`` to ``out``, parenthesized if it
+        binds looser than ``floor``."""
         if expr is self._original:
             expr = self._substitute
-        text, precedence = self._format_expr_prec(expr)
-        if precedence < parent_precedence:
-            return f"({text})"
-        return text
+        precedence = _precedence(expr)
+        if precedence < floor:
+            out.append("(")
+            self._write_bare(expr, precedence, out)
+            out.append(")")
+        else:
+            self._write_bare(expr, precedence, out)
 
-    def _format_expr_prec(self, expr: ast.Expr) -> tuple[str, int]:
-        highest = 10
+    def _write_bare(self, expr: ast.Expr, precedence: int, out: list[str]) -> None:
+        anchors = self._anchors
+        if anchors is not None and not isinstance(expr, ast.BinaryOp):
+            anchors[expr.node_id] = sum(map(len, out))
         if isinstance(expr, ast.IntLiteral):
-            return str(expr.value), highest
-        if isinstance(expr, ast.BoolLiteral):
-            return ("true" if expr.value else "false"), highest
-        if isinstance(expr, ast.StringLiteral):
+            out.append(str(expr.value))
+        elif isinstance(expr, ast.BoolLiteral):
+            out.append("true" if expr.value else "false")
+        elif isinstance(expr, ast.StringLiteral):
             escaped = expr.value.replace("'", "''")
-            return f"'{escaped}'", highest
-        if isinstance(expr, ast.VarRef):
-            return expr.name, highest
-        if isinstance(expr, ast.IndexedRef):
-            base = self.format_expr(expr.base, _UNARY_PRECEDENCE)
-            return f"{base}[{self.format_expr(expr.index)}]", highest
-        if isinstance(expr, ast.FuncCall):
-            args = ", ".join(self.format_expr(arg) for arg in expr.args)
-            return f"{expr.name}({args})", highest
-        if isinstance(expr, ast.ArrayLiteral):
-            elements = ", ".join(self.format_expr(element) for element in expr.elements)
-            return f"[{elements}]", highest
-        if isinstance(expr, ast.UnaryOp):
+            out.append(f"'{escaped}'")
+        elif isinstance(expr, ast.VarRef):
+            out.append(expr.name)
+        elif isinstance(expr, ast.IndexedRef):
+            self._write_expr(expr.base, _UNARY_PRECEDENCE, out)
+            out.append("[")
+            self._write_expr(expr.index, 0, out)
+            out.append("]")
+        elif isinstance(expr, ast.FuncCall):
+            out.append(f"{expr.name}(")
+            self._write_list(expr.args, out)
+            out.append(")")
+        elif isinstance(expr, ast.ArrayLiteral):
+            out.append("[")
+            self._write_list(expr.elements, out)
+            out.append("]")
+        elif isinstance(expr, ast.UnaryOp):
             if expr.op == "-":
                 # A sign binds a whole *term* in the grammar, so printed
                 # unary minus sits at additive precedence: `(-a) * b`
                 # needs its parentheses, `-a + b` does not.
-                operand = self.format_expr(expr.operand, 3)
-                return f"-{operand}", 2
-            operand = self.format_expr(expr.operand, _UNARY_PRECEDENCE + 1)
-            return f"not {operand}", _UNARY_PRECEDENCE
-        if isinstance(expr, ast.BinaryOp):
-            precedence = _BINARY_PRECEDENCE[expr.op]
+                out.append("-")
+                self._write_expr(expr.operand, 3, out)
+            else:
+                out.append("not ")
+                self._write_expr(expr.operand, _UNARY_PRECEDENCE + 1, out)
+        elif isinstance(expr, ast.BinaryOp):
             # Relationals are non-associative: parenthesize both operands
             # if they are relational themselves.
             left_floor = precedence + 1 if expr.op in _RELATIONAL_OPS else precedence
-            left = self.format_expr(expr.left, left_floor)
-            right = self.format_expr(expr.right, precedence + 1)
-            return f"{left} {expr.op} {right}", precedence
-        raise TypeError(f"unknown expression {expr!r}")
+            self._write_expr(expr.left, left_floor, out)
+            if anchors is not None:
+                anchors[expr.node_id] = sum(map(len, out)) + 1
+            out.append(f" {expr.op} ")
+            self._write_expr(expr.right, precedence + 1, out)
+        else:
+            raise TypeError(f"unknown expression {expr!r}")
+
+    def _write_list(self, exprs: list[ast.Expr], out: list[str]) -> None:
+        """Append ``exprs`` to ``out``, comma-separated."""
+        for index, expr in enumerate(exprs):
+            if index:
+                out.append(", ")
+            self._write_expr(expr, 0, out)
+
+
+def _precedence(expr: ast.Expr) -> int:
+    """How tightly ``expr`` binds as printed; atoms bind tightest."""
+    if isinstance(expr, ast.BinaryOp):
+        return _BINARY_PRECEDENCE[expr.op]
+    if isinstance(expr, ast.UnaryOp):
+        return 2 if expr.op == "-" else _UNARY_PRECEDENCE
+    return _ATOM_PRECEDENCE
 
 
 def _label_prefix(stmt: ast.Stmt) -> str:
@@ -319,24 +381,43 @@ class PrintedProgram:
     innermost statement (:meth:`PrettyPrinter._head`). The variant
     re-renders that whole line, not just the changed token, so a change
     of precedence re-parenthesizes exactly as a full reprint would; the
-    line's ``;`` from the enclosing statement list is kept.
+    line's ``;`` from the enclosing statement list is kept. Lines never
+    move, so only the expressions on that line change columns
+    (:meth:`head_columns`).
+
+    Read-only once built: each re-render uses a printer of its own, so
+    threads may share one instance.
     """
 
     def __init__(self, program: ast.Program):
-        self._program = program  # keeps the ids in the head table valid
-        self._printer = PrettyPrinter()
-        self.text = self._printer.print_program(program)
+        self.program = program  # keeps the ids in the head table valid
+        printer = PrettyPrinter()
+        self.text = printer.print_program(program)
+        #: id(stmt) -> (line index, start, end), as in the printer
+        self._heads = printer._heads
         self._line_starts = [0]
-        for line in self._printer._lines:
+        for line in printer._lines:
             self._line_starts.append(self._line_starts[-1] + len(line) + 1)
 
     def substituted(self, stmt: ast.Stmt, original: ast.Expr, substitute: ast.Expr) -> str:
         """The program text with ``substitute`` in place of ``original``,
         an expression on ``stmt``'s own line. The program is not touched."""
-        index, start, end = self._printer._heads[id(stmt)]
+        index, start, end = self._heads[id(stmt)]
         line_start = self._line_starts[index]
-        head = self._printer.format_head(stmt, original, substitute)
+        head = PrettyPrinter().format_head(stmt, original, substitute)
         return self.text[: line_start + start] + head + self.text[line_start + end :]
+
+    def head_columns(
+        self, stmt: ast.Stmt, original: ast.Expr, substitute: ast.Expr
+    ) -> tuple[int, dict[int, int]]:
+        """Where a parse of :meth:`substituted`'s text locates the
+        expressions on ``stmt``'s line: that line (1-based) and, by node
+        id, each expression's column (``substitute`` under the id it
+        shares with ``original``)."""
+        index, start, _ = self._heads[id(stmt)]
+        anchors: dict[int, int] = {}
+        PrettyPrinter().format_head(stmt, original, substitute, anchors)
+        return index + 1, {node_id: start + offset + 1 for node_id, offset in anchors.items()}
 
 
 def print_program(program: ast.Program) -> str:

@@ -19,11 +19,13 @@ uniformly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import TYPE_CHECKING
 
 from repro import cache as _cache
+from repro import obs
 from repro.pascal import ast_nodes as ast
-from repro.pascal.errors import SemanticError
+from repro.pascal.errors import SemanticError, SourceLocation
 from repro.pascal.symbols import (
     ArrayTypeInfo,
     BOOLEAN,
@@ -35,6 +37,9 @@ from repro.pascal.symbols import (
     SymbolKind,
     Type,
 )
+
+if TYPE_CHECKING:
+    from repro.pascal.pretty import PrintedProgram
 
 #: Builtin procedures with special argument rules.
 IO_PROCEDURES = {"write", "writeln", "read", "readln"}
@@ -762,8 +767,117 @@ def analyze(program: ast.Program) -> AnalyzedProgram:
     return SemanticAnalyzer(program).analyze()
 
 
+@dataclass(frozen=True, eq=False)
+class AnalysisPatch:
+    """The recipe for the analysis of a program that differs from
+    ``base``'s in one expression, built by :meth:`build` without lexing,
+    parsing or analysing anything.
+
+    ``fault`` takes the place of the node ``path`` starts at; ``path``
+    links it to the root, ``(node, (parent, (..., (program, None))))``.
+    The node is an expression on the line of statement ``host`` in
+    ``printed``, the text of ``base``. ``fault`` keeps the node's id and
+    its type, so every side table of ``base`` holds for the variant.
+    """
+
+    base: AnalyzedProgram
+    printed: PrintedProgram
+    path: tuple
+    host: ast.Stmt
+    fault: ast.Expr
+
+    def build(self) -> AnalyzedProgram:
+        """A fresh analysis of the variant's text, up to node ids.
+
+        Only the host statement, its expressions and the host's
+        ancestors are copied, each keeping its node id; every other node
+        and every side table is shared with ``base``, which is never
+        written. The copied expressions take their columns from the
+        re-rendered line, the one line whose layout changed. The routine
+        infos whose declaration was copied are rebuilt, and with them
+        the call sites on the copied line.
+        """
+        original, host = self.path[0], self.host
+        line, columns = self.printed.head_columns(host, original, self.fault)
+        copies: dict[int, ast.Node] = {}  # id(base node) -> its copy
+
+        def relocated_expressions(node: ast.Node) -> dict:
+            changes = {}
+            for name in ast.child_fields(type(node)):
+                value = getattr(node, name)
+                if isinstance(value, ast.Expr):
+                    changes[name] = relocate(value)
+                elif isinstance(value, list) and value and isinstance(value[0], ast.Expr):
+                    changes[name] = [relocate(item) for item in value]
+            return changes
+
+        def relocate(expr: ast.Expr) -> ast.Expr:
+            node = self.fault if expr is original else expr
+            copy = copies[id(expr)] = replace(
+                node,
+                location=SourceLocation(line, columns[expr.node_id]),
+                **relocated_expressions(node),
+            )
+            return copy
+
+        link = self.path
+        while link[0] is not host:
+            link = link[1]
+        child, link = link
+        copy = copies[id(host)] = replace(host, **relocated_expressions(host))
+        while link is not None:
+            parent, link = link
+            copy = copies[id(parent)] = _with_child(parent, child, copy)
+            child = parent
+
+        base = self.base
+        routines: dict[Symbol, RoutineInfo] = {}
+        for symbol, info in base.routines.items():
+            decl = copies.get(id(info.decl))
+            if decl is not None:
+                info = replace(
+                    info,
+                    decl=decl,
+                    block=copies[id(info.block)],
+                    call_sites=[
+                        (copies.get(id(call), call), target)
+                        for call, target in info.call_sites
+                    ],
+                )
+            routines[symbol] = info
+        return replace(
+            base,
+            program=copies[id(base.program)],
+            main=routines[base.main.symbol],
+            routines=routines,
+        )
+
+
+def _with_child(parent: ast.Node, child: ast.Node, copy: ast.Node) -> ast.Node:
+    """A copy of ``parent`` (same id) with ``copy`` in place of ``child``."""
+    for name in ast.child_fields(type(parent)):
+        value = getattr(parent, name)
+        if value is child:
+            return replace(parent, **{name: copy})
+        if isinstance(value, list) and any(item is child for item in value):
+            return replace(
+                parent, **{name: [copy if item is child else item for item in value]}
+            )
+    raise ValueError(f"{child!r} is not a child of {parent!r}")
+
+
 #: content-addressed cache for :func:`analyze_source` (see repro.cache)
 _ANALYSIS_CACHE = _cache.register("analysis")
+
+#: :class:`AnalysisPatch` recipes by the digest of the text each builds
+#: the analysis of; bounded, so a lost recipe only costs a parse
+_PATCHES = _cache.register("patch", max_entries=1024, persistable=False)
+
+
+def register_patch(source: str, patch: AnalysisPatch) -> None:
+    """Have :func:`analyze_source` build the analysis of ``source`` with
+    ``patch`` instead of a parse, whenever it is not cached."""
+    _PATCHES.put(_cache.source_key(source), patch)
 
 
 def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:
@@ -772,13 +886,25 @@ def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:
     Results are served from a content-addressed cache keyed on the
     source hash: identical text returns the identical
     :class:`AnalyzedProgram` object (analysis is pure and consumers
-    never mutate it); any edit yields a fresh analysis. Pass
-    ``cached=False`` to force a rebuild.
+    never mutate it); any edit yields a fresh analysis. A text with a
+    registered :class:`AnalysisPatch` (a mutant) is built by patching
+    its base's analysis rather than parsed. Pass ``cached=False`` to
+    force a parse: the reference the patched analyses are tested
+    against.
     """
     from repro.pascal.parser import parse_program
 
     if not cached:
         return analyze(parse_program(source))
-    return _ANALYSIS_CACHE.get_or_build(
-        _cache.source_key(source), lambda: analyze(parse_program(source))
-    )
+    key = _cache.source_key(source)
+
+    def build() -> AnalyzedProgram:
+        patch = _PATCHES.peek(key)
+        if patch is None:
+            return analyze(parse_program(source))
+        with obs.span("pascal.analyze.patch"):
+            analysis = patch.build()
+        obs.add("pascal.analyze.patched")
+        return analysis
+
+    return _ANALYSIS_CACHE.get_or_build(key, build)

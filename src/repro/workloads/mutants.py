@@ -12,6 +12,17 @@ Generation never writes to the analyzed program, which the analysis
 cache shares with every other caller: each mutant's faulty node is a
 copy, and its source is the host program's text, printed once, with the
 one line holding that node re-rendered.
+
+The printed text is the *base* of the mutants, and its analysis (one
+parse, none if the host is already in printed form) is the base of
+their analyses. Each mutant registers a recipe for its own analysis
+(:func:`~repro.pascal.semantics.register_patch`): the faulty node, its
+path from the root and its statement. The first ``analyze_source`` of
+the mutant text, by ``run_source``, ``trace_source``, a sweep worker
+or anything else, builds the analysis from it without lexing, parsing
+or analysing, and the analysis cache keeps it. Nothing is built for
+mutants that are never run. Sweep workers register the recipes
+themselves, since a spawned worker does not inherit the parent's.
 """
 
 from __future__ import annotations
@@ -22,7 +33,7 @@ from dataclasses import dataclass, field, replace
 from repro import obs
 from repro.pascal import ast_nodes as ast
 from repro.pascal.pretty import PrintedProgram
-from repro.pascal.semantics import AnalyzedProgram, analyze_source
+from repro.pascal.semantics import AnalysisPatch, analyze_source, register_patch
 
 #: operator substitutions, one per mutant
 _BINARY_FLIPS = {
@@ -49,22 +60,31 @@ class Mutant:
     kind: str  # "operator" or "constant"
 
 
-def _owners(analysis: AnalyzedProgram) -> dict[int, tuple[str, ast.Stmt]]:
-    """``id(node)`` -> (routine whose *body* contains it, innermost
-    statement around it) for every node of every routine body, in one
-    walk of each body. Declarations and main-body code have no entry."""
-    owners: dict[int, tuple[str, ast.Stmt]] = {}
+def _sites(program: ast.Program) -> list[tuple[ast.Node, str, ast.Stmt, tuple]]:
+    """(node, owner, host, path) for every node of every routine body,
+    in :meth:`~repro.pascal.ast_nodes.Node.walk` order: ``owner`` is the
+    routine whose *body* holds the node, ``host`` the innermost statement
+    around it, ``path`` the link ``(node, (parent, (..., (program,
+    None))))`` to the root. Declarations and main-body code have none."""
+    sites: list[tuple[ast.Node, str, ast.Stmt, tuple]] = []
 
-    def visit(node: ast.Node, owner: str, host: ast.Stmt) -> None:
-        if isinstance(node, ast.Stmt):
-            host = node
-        owners.setdefault(id(node), (owner, host))
-        for child in node.children():
-            visit(child, owner, host)
+    def visit(node, routine, owner, host, path) -> None:
+        path = (node, path)
+        if owner is not None:
+            if isinstance(node, ast.Stmt):
+                host = node
+            sites.append((node, owner, host, path))
+        if isinstance(node, ast.RoutineDecl):
+            routine = node.name
+        if isinstance(node, ast.Block):
+            for child in node.children():
+                visit(child, routine, routine if child is node.body else None, host, path)
+        else:
+            for child in node.children():
+                visit(child, routine, owner, host, path)
 
-    for info in analysis.user_routines():
-        visit(info.block.body, info.name, info.block.body)
-    return owners
+    visit(program, None, None, None, None)
+    return sites
 
 
 def generate_mutants(
@@ -74,16 +94,21 @@ def generate_mutants(
 ) -> list[Mutant]:
     """All single-fault mutants of ``source`` located inside routine bodies.
 
-    ``units`` restricts mutation to the named routines.
+    ``units`` restricts mutation to the named routines. Each mutant's
+    analysis is registered as a patch of the printed program's
+    (:func:`~repro.pascal.semantics.register_patch`), built when first
+    asked for.
     """
     with obs.span("mutants.generate"):
-        analysis = analyze_source(source)
-        owners = _owners(analysis)
-        printed = PrintedProgram(analysis.program)
+        printed = PrintedProgram(analyze_source(source).program)
+        # The base of every mutant is the printed text, which is what
+        # the mutants are edits of: one cache entry if already canonical.
+        base = analyze_source(printed.text)
+        if base.program is not printed.program:
+            printed = PrintedProgram(base.program)
         mutants: list[Mutant] = []
-        for node in analysis.program.walk():
-            site = owners.get(id(node))
-            if site is None or (units is not None and site[0] not in units):
+        for node, owner, host, path in _sites(base.program):
+            if units is not None and owner not in units:
                 continue
             if isinstance(node, ast.BinaryOp) and node.op in _BINARY_FLIPS:
                 fault = replace(node, op=_BINARY_FLIPS[node.op])
@@ -93,10 +118,11 @@ def generate_mutants(
                 change, kind = f"{node.value} -> {fault.value}", "constant"
             else:
                 continue
-            owner, host = site
+            text = printed.substituted(host, node, fault)
+            register_patch(text, AnalysisPatch(base, printed, path, host, fault))
             mutants.append(
                 Mutant(
-                    source=printed.substituted(host, node, fault),
+                    source=text,
                     unit=owner,
                     description=f"{change} in {owner}",
                     kind=kind,
@@ -260,6 +286,9 @@ def _init_mutant_worker(
     # points inside worker code (the "worker" point, cache reads) fire
     # there too; spec countdowns are per-process.
     faults.install(fault_plan)
+    # A forked worker inherits the parent's patch recipes, a spawned one
+    # does not: registering them here spares every mutant's front half.
+    generate_mutants(source)
     baseline = run_source(source, step_limit=step_limit).output
     reference = ReferenceOracle.from_source(source, step_limit=step_limit)
     _WORKER_STATE = (

@@ -22,6 +22,7 @@ from repro.workloads.mutants import (
     summarize,
 )
 from repro.workloads.paper_programs import SECTION3_FIXED_SOURCE
+from tests.test_mutant_patch import canonical, patched
 
 SMALL = """
 program t;
@@ -158,6 +159,38 @@ class TestReadOnly:
         assert not thread.is_alive()
         assert texts
         assert all(text == expected for text in texts)
+
+    def test_building_patches_never_writes_to_the_base(self, monkeypatch):
+        source = generate_program(11)
+        mutants = generate_mutants(source)
+        base = analyze_source(print_program(analyze_source(source).program))
+        before = canonical(base)
+        tables = {
+            name: dict(table) if isinstance(table, dict) else set(table)
+            for name, table in vars(base).items()
+            if isinstance(table, (dict, set))
+        }
+        infos = {symbol: (info, vars(info).copy()) for symbol, info in base.routines.items()}
+        shared = {id(node) for node in base.program.walk()}
+        writes = []
+        setattr_ = ast.Node.__setattr__
+
+        def trap(node, name, value):
+            if id(node) in shared:
+                writes.append((type(node).__name__, name))
+            setattr_(node, name, value)
+
+        monkeypatch.setattr(ast.Node, "__setattr__", trap)
+        for mutant in mutants:
+            patched(mutant)
+        monkeypatch.undo()
+        assert writes == []
+        assert canonical(base) == before
+        for name, table in tables.items():
+            assert getattr(base, name) == table, name
+        for symbol, (info, fields) in infos.items():
+            assert base.routines[symbol] is info
+            assert vars(info) == fields
 
 
 class TestGeneration:

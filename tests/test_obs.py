@@ -335,6 +335,27 @@ class TestPipelineInstrumentation:
         assert spans[1]["parent"] == "pascal.parse"
         assert spans[1]["depth"] == 1
 
+    def test_patched_mutant_analyses_span_and_counter(self, observing):
+        from repro import cache
+        from repro.workloads.mutants import generate_mutants
+
+        cache.clear_caches()  # so every mutant's analysis is built here
+        mutants = generate_mutants(FIGURE4_FIXED_SOURCE)
+        obs.reset()
+        for mutant in mutants:
+            analyze_source(mutant.source)
+            analyze_source(mutant.source)  # a cache hit: no second build
+        snap = obs.snapshot(include_cache=False)
+        assert snap["counters"]["pascal.analyze.patched"] == len(mutants)
+        assert snap["histograms"]["pascal.analyze.patch"]["count"] == len(mutants)
+        # no front half at all: nothing lexed or parsed
+        assert "pascal.tokens" not in snap["counters"]
+        assert "pascal.parse" not in snap["histograms"]
+        analyze_source(mutants[0].source, cached=False)  # the reference parses
+        snap = obs.snapshot(include_cache=False)
+        assert snap["counters"]["pascal.analyze.patched"] == len(mutants)
+        assert snap["histograms"]["pascal.parse"]["count"] == 1
+
     def test_front_half_spans_on_lex_error(self, observing):
         from repro.pascal.errors import LexError
         from repro.pascal.parser import parse_program

@@ -2,15 +2,21 @@
 
 import pytest
 
+from pathlib import Path
+
+from repro.pascal import analyze_source
 from repro.pascal import ast_nodes as ast
 from repro.pascal.parser import parse_expression, parse_program
 from repro.pascal.pretty import format_expr, print_program, print_statement
+from repro.tgen.corpus import generate_program
 from repro.workloads import (
     ARRSUM_SOURCE,
     FIGURE2_SOURCE,
     FIGURE4_SOURCE,
     SECTION3_SOURCE,
+    paper_programs,
 )
+from repro.workloads.ledger import ledger_program
 
 
 def ast_equal(a: ast.Node, b: ast.Node) -> bool:
@@ -70,6 +76,32 @@ def test_paper_program_round_trips(source):
     printed = print_program(original)
     reparsed = normalize(parse_program(printed))
     assert ast_equal(original, reparsed), printed
+
+
+#: the hosts mutants are made from: the paper's programs, the ledger,
+#: the hand-made corpus files and corpus seeds 0-199
+_MUTANT_HOSTS = [
+    *(getattr(paper_programs, name) for name in dir(paper_programs) if name.endswith("_SOURCE")),
+    ledger_program().source,
+    ledger_program().fixed_source,
+    *(path.read_text() for path in sorted((Path(__file__).parent / "corpus").glob("*.pas"))),
+]
+
+
+@pytest.mark.parametrize("first", range(0, 200, 50))
+def test_printed_programs_are_fixed_points(first):
+    """Mutants are edits of a host's printed text, analysed as patches of
+    that text's analysis: printing its parse must give the text back,
+    and the parse must be the host's tree up to ids and locations."""
+    hosts = [generate_program(seed) for seed in range(first, first + 50)]
+    if first == 0:
+        hosts += _MUTANT_HOSTS
+    for source in hosts:
+        host = analyze_source(source).program
+        text = print_program(host)
+        reparsed = analyze_source(text).program
+        assert print_program(reparsed) == text
+        assert ast_equal(host, reparsed), text
 
 
 class TestExpressions:
