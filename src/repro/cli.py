@@ -28,11 +28,12 @@ maintain such a store.
 
 The ``run``, ``trace``, ``debug``, ``mutate``, and ``stats`` subcommands
 take ``--profile`` (print a phase/metric summary on stderr after the
-command), ``--events PATH`` (stream observability events as JSONL), and
-``--journal PATH`` (record a schema-versioned session journal that
-``repro replay`` re-runs deterministically and ``repro export`` turns
-into a Perfetto/Chrome trace); see ``docs/OBSERVABILITY.md``. The same subcommands take ``--backend
-{interp,compiled}`` to pick the execution engine (default: the
+command) and ``--journal PATH`` (record the command's observability
+events as a schema-versioned session journal that ``repro replay``
+re-runs deterministically and ``repro export`` turns into a
+Perfetto/Chrome trace); see ``docs/OBSERVABILITY.md``. The same
+subcommands take ``--backend {interp,compiled}`` to pick the execution
+engine, passed to the library as ``backend=`` (default: the
 ``REPRO_BACKEND`` environment variable, else compiled for traces and
 the interpreter for plain runs); see ``docs/COMPILER.md``.
 
@@ -60,7 +61,6 @@ unparsable files, unknown criteria).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 
@@ -117,6 +117,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         _read(args.program),
         inputs=_parse_inputs(args.input),
         budget=_budget(args),
+        backend=args.backend,
     )
     sys.stdout.write(result.output)
     return 0
@@ -128,6 +129,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
         inputs=_parse_inputs(args.input),
         budget=_budget(args),
         degrade=getattr(args, "degrade", False),
+        backend=args.backend,
     )
     if trace.degraded:
         print(
@@ -201,6 +203,7 @@ def cmd_debug(args: argparse.Namespace) -> int:
         program_inputs=_parse_inputs(args.input),
         budget=_budget(args),
         degrade=getattr(args, "degrade", False),
+        backend=args.backend,
     )
     if not args.quiet:
         print("Execution tree:")
@@ -208,7 +211,9 @@ def cmd_debug(args: argparse.Namespace) -> int:
 
     if args.reference:
         oracle = ReferenceOracle.from_source(
-            _read(args.reference), program_inputs=_parse_inputs(args.input)
+            _read(args.reference),
+            program_inputs=_parse_inputs(args.input),
+            backend=args.backend,
         )
     else:
         oracle = InteractiveOracle(output=sys.stdout)
@@ -263,6 +268,7 @@ def cmd_mutate(args: argparse.Namespace) -> int:
         deadline_s=args.deadline,
         retries=args.retries,
         degrade=args.degrade,
+        backend=args.backend,
     )
     for outcome in outcomes:
         detail = (
@@ -301,12 +307,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with observability forced on; print the full metric summary."""
     source = _read(args.program)
     system = GadtSystem.from_source(
-        source, program_inputs=_parse_inputs(args.input)
+        source, program_inputs=_parse_inputs(args.input), backend=args.backend
     )
     result = None
     if args.reference:
         oracle = ReferenceOracle.from_source(
-            _read(args.reference), program_inputs=_parse_inputs(args.input)
+            _read(args.reference),
+            program_inputs=_parse_inputs(args.input),
+            backend=args.backend,
         )
         result = system.debugger(oracle, strategy=args.strategy).debug()
     if getattr(args, "json", False):
@@ -394,7 +402,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     system = GadtSystem.from_source(
         _read(args.program),
         program_inputs=_parse_inputs(args.input),
-        backend=getattr(args, "backend", None),
+        backend=args.backend,
         profiler=profiler,
     )
     report = hotspot_report(system.trace, profiler=profiler, top=args.hotspots)
@@ -414,7 +422,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     from repro.obs.journal import JournalError
 
     try:
-        report = replay_file(args.journal, backend=getattr(args, "backend", None))
+        report = replay_file(args.journal, backend=args.backend)
     except JournalError as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
@@ -607,11 +615,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--profile",
         action="store_true",
         help="print a phase/metric summary on stderr after the command",
-    )
-    obs_parent.add_argument(
-        "--events",
-        metavar="PATH",
-        help="stream observability events to PATH as JSON lines",
     )
     obs_parent.add_argument(
         "--journal",
@@ -978,8 +981,7 @@ def _journal_meta(args: argparse.Namespace, argv: list[str] | None) -> dict:
     meta: dict[str, object] = {
         "command": getattr(args, "command", None),
         "argv": list(argv) if argv is not None else sys.argv[1:],
-        "backend": getattr(args, "backend", None)
-        or os.environ.get("REPRO_BACKEND"),
+        "backend": getattr(args, "backend", None),
     }
     program = getattr(args, "program", None)
     if program:
@@ -1014,30 +1016,13 @@ def main(argv: list[str] | None = None) -> int:
         code = exc.code
         return code if isinstance(code, int) else 2
 
-    # export --backend to the environment so worker processes spawned
-    # during the command inherit it; restored on exit so embedded calls
-    # (tests, library use) do not leak the choice process-wide
-    backend = getattr(args, "backend", None)
-    prior_backend = os.environ.get("REPRO_BACKEND")
-    if backend is not None:
-        os.environ["REPRO_BACKEND"] = backend
-
     profiling = getattr(args, "profile", False)
-    events_path = getattr(args, "events", None)
     journal_path = getattr(args, "journal_out", None)
-    observing = (
-        profiling
-        or events_path
-        or journal_path
-        or getattr(args, "needs_obs", False)
-    )
-    event_sink: obs.JsonlFileSink | None = None
+    observing = profiling or journal_path or getattr(args, "needs_obs", False)
     journal_sink = None
     if observing:
         obs.reset()
         obs.enable()
-        if events_path:
-            event_sink = obs.add_sink(obs.JsonlFileSink(events_path))
         if journal_path:
             from repro.obs.journal import JournalWriter
 
@@ -1059,17 +1044,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {error.args[0]}", file=sys.stderr)
         return 2
     finally:
-        if backend is not None:
-            if prior_backend is None:
-                os.environ.pop("REPRO_BACKEND", None)
-            else:
-                os.environ["REPRO_BACKEND"] = prior_backend
         if observing:
             if profiling:
                 print(obs.report.render_summary(obs.snapshot()), file=sys.stderr)
-            if event_sink is not None:
-                obs.remove_sink(event_sink)
-                event_sink.close()
             if journal_sink is not None:
                 obs.remove_sink(journal_sink)
                 journal_sink.close()

@@ -8,9 +8,11 @@ stay on the tree-walking interpreter by default: it is the reference
 the conformance checks compare the compiled engine against, and a
 one-shot run of a short program costs less to interpret than to
 compile. Both engines sit behind ``run_source(..., backend=...)`` /
-``trace_source(..., backend=...)`` and the CLI's ``--backend`` flag;
-the ``REPRO_BACKEND`` environment variable, when set, picks the engine
-for plain runs and traces alike.
+``trace_source(..., backend=...)`` and the CLI's ``--backend`` flag,
+which the CLI passes on as that argument. The ``REPRO_BACKEND``
+environment variable, when set, is the process default for plain runs
+and traces alike; :func:`default_backend` is the one place that reads
+it, and nothing in the program writes it.
 
 A program is compiled in the one form its caller runs (plain or
 traced), and each routine body only on its first call, so a trace pays

@@ -52,6 +52,7 @@ from repro.pascal.values import ArrayValue, UNDEFINED, copy_value, format_value
 from repro.compile import ops
 from repro.compile.emit import LoopPlan, RoutinePlan, enter_stmt
 from repro.compile.runtime import CCell, CFrame, adapt_value, tick
+from repro.tracing.tracer import activation_symbols
 
 
 class CompiledProgram:
@@ -157,7 +158,6 @@ class Compiler:
         self.layouts: dict = {}
         self.body_refs: dict = {}
         self.plans: dict = {}
-        self._entry_live_cache: dict = {}
 
     # ------------------------------------------------------------------
     # program assembly
@@ -256,19 +256,6 @@ class Compiler:
     # ------------------------------------------------------------------
     # binding plans (traced mode)
 
-    def _entry_live(self, info):
-        cached = self._entry_live_cache.get(info.symbol)
-        if cached is not None:
-            return cached
-        from repro.analysis.cfg import build_cfg
-        from repro.analysis.dataflow import live_variables
-
-        cfg = build_cfg(info, self.analysis)
-        live = live_variables(cfg, self.side_effects)
-        result = set(live.live_out[cfg.entry])
-        self._entry_live_cache[info.symbol] = result
-        return result
-
     def plan_of(self, target) -> RoutinePlan:
         plan = self.plans.get(target)
         if plan is None:
@@ -280,40 +267,22 @@ class Compiler:
         info = self.analysis.routines[target]
         layout = self.layouts[target]
         callee_ctx = _Ctx(info, owner=target, lex_depth=layout.lex_depth)
-        effects = self.side_effects.of(target)
-        entry_live = self._entry_live(info)
-        input_entries = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VALUE, ast.ParamMode.IN_):
-                input_entries.append(
-                    (param.name, False, self._safe_accessor(callee_ctx, param))
-                )
-            elif param in effects.ref_params and param in entry_live:
-                input_entries.append(
-                    (param.name, False, self._safe_accessor(callee_ctx, param))
-                )
-        for symbol in sorted(effects.gref, key=lambda s: s.name):
-            if symbol in entry_live:
-                input_entries.append(
-                    (symbol.name, True, self._safe_accessor(callee_ctx, symbol))
-                )
-        output_entries = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT):
-                if param in effects.mod_params:
-                    output_entries.append(
-                        (param.name, False, self._safe_accessor(callee_ctx, param))
-                    )
-        for symbol in sorted(effects.gmod, key=lambda s: s.name):
-            output_entries.append(
-                (symbol.name, True, self._safe_accessor(callee_ctx, symbol))
-            )
+        symbols = activation_symbols(self.analysis, self.side_effects, info)
+
+        def entries(pairs):
+            return [
+                (symbol.name, is_global, self._safe_accessor(callee_ctx, symbol))
+                for symbol, is_global in pairs
+            ]
+
         return RoutinePlan(
             unit_name=info.name,
             routine=info.symbol,
-            input_entries=input_entries,
-            output_entries=output_entries,
-            result_slot=layout.result_slot,
+            input_entries=entries(symbols.inputs),
+            output_entries=entries(symbols.outputs),
+            result_slot=(
+                None if symbols.result is None else layout.slot_of[symbols.result]
+            ),
         )
 
     def _loop_plan(self, ctx: _Ctx, unit) -> LoopPlan:

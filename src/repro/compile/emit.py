@@ -11,12 +11,13 @@ execution-tree bookkeeping *directly* into the :class:`TraceSession`
 methods replace the tracer's routine hooks.
 
 Binding snapshots are driven by *plans* precomputed at compile time
-(:class:`RoutinePlan`, :class:`LoopPlan`): side-effect sets, entry
-liveness, and the sorted-global order are resolved once per routine
-into lists of ``(name, is_global, cell-accessor)`` entries, so entering
-or leaving an activation is a short loop over prepared accessors — the
-tracer recomputes liveness and rescans its writer map on every
-activation instead.
+(:class:`RoutinePlan`, :class:`LoopPlan`): the symbols
+:func:`repro.tracing.tracer.activation_symbols` picks for a routine are
+resolved once per routine into lists of ``(name, is_global,
+cell-accessor)`` entries, so entering or leaving an activation is a
+short loop over prepared accessors — the interpreter's tracer looks the
+same symbols up through the frame chain and rescans its writer map on
+every activation instead.
 
 The session exposes the same result surface as the tracer
 (``result()``, ``last_active_node_id``, ``_tree_index``) so

@@ -188,15 +188,20 @@ class ReferenceOracle:
         program_inputs: list[object] | None = None,
         report_error_position: bool = True,
         step_limit: int = 2_000_000,
+        backend: str | None = None,
     ) -> "ReferenceOracle":
         """Build the oracle from bug-free source, transformed and traced
         exactly like the program under debugging (same unit names, same
         loop units, same original-view presentation) — maximizing direct
-        execution-tree matches before any isolated-call fallback."""
+        execution-tree matches before any isolated-call fallback.
+        ``backend`` is the engine that traces it."""
         from repro.core.gadt import GadtSystem
 
         system = GadtSystem.from_source(
-            fixed_source, program_inputs=program_inputs, step_limit=step_limit
+            fixed_source,
+            program_inputs=program_inputs,
+            step_limit=step_limit,
+            backend=backend,
         )
         oracle = cls(
             system.analysis,

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.compile import BACKENDS
 from repro.core.algorithmic import SOURCE_LABELS
 from repro.core.gadt import GadtDebugger, GadtSystem
 from repro.core.oracle import Oracle
@@ -227,6 +228,11 @@ def replay_journal(
         )
 
     backend_used = backend or meta.get("backend") or recorded_trace.get("backend")
+    if backend_used is not None and backend_used not in BACKENDS:
+        raise JournalError(
+            f"journal was recorded under backend {backend_used!r}, which is "
+            f"not one of {', '.join(BACKENDS)}"
+        )
 
     was_enabled = obs.enabled()
     obs.enable()

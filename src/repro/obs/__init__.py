@@ -19,8 +19,8 @@ package makes that count — and the machine cost behind it — first-class:
 
 Observability is **off by default** and zero-overhead when off: every
 public helper starts with one module-global flag test and returns
-immediately (``span`` hands back a shared no-op span), following the
-null-hook pattern the interpreter uses for its execution hooks.
+immediately (``span`` hands back a shared no-op span), as the
+interpreter tests ``_hk is None`` before each execution-hook call.
 Instrumentation sites are phase/query-granular — never per executed
 statement — so even the enabled path costs microseconds per pipeline
 run.

@@ -10,7 +10,8 @@ not mutate it.
 The ring buffer is the default sink (installed by
 :func:`repro.obs.enable`) so recent events are always inspectable
 in-process; the JSONL writer streams events to a file for offline
-analysis (``repro debug ... --events out.jsonl``). Writes flush
+analysis (``repro debug ... --journal out.jsonl`` writes one through
+:class:`~repro.obs.journal.JournalWriter`). Writes flush
 immediately: event volume is phase- and query-granular, never
 per-statement, so durability wins over buffering.
 """

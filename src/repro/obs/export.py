@@ -1,6 +1,6 @@
 """Chrome trace-event export: journals viewable in ui.perfetto.dev.
 
-Converts a recorded journal (or a plain ``--events`` capture) into the
+Converts a recorded journal (or a headerless event stream) into the
 Chrome trace-event JSON format — the lingua franca of Perfetto, chrome
 ://tracing, and speedscope:
 
@@ -226,7 +226,7 @@ def export_journal(
     """Export a journal file; returns the output path written.
 
     ``fmt`` accepts ``"perfetto"`` (alias ``"chrome"``). Headerless
-    ``--events`` captures export too — the header only adds metadata.
+    event streams export too — the header only adds metadata.
     """
     if fmt not in ("perfetto", "chrome"):
         raise ValueError(f"unknown export format {fmt!r}")

@@ -17,9 +17,9 @@ where ``meta`` carries everything a deterministic re-run needs —
 Every following line is one ordinary observability event exactly as
 :func:`repro.obs.emit` broadcast it (``seq``/``ts``/``kind`` plus
 kind-specific fields; span events carry ``span_id``/``parent_id``, and
-events emitted inside a span carry the owning ``span_id``), so the
-journal is a superset of a plain ``--events`` capture: the causal chain
-is reconstructible offline.
+events emitted inside a span carry the owning ``span_id``). A journal
+is thus its header plus exactly the command's event stream, and the
+causal chain is reconstructible offline.
 
 :class:`JournalWriter` is a :class:`~repro.obs.events.JsonlFileSink`
 subclass, inheriting its fault tolerance (failed writes degrade, never
@@ -106,7 +106,7 @@ class Journal:
 
 
 def read_journal(path: str, require_header: bool = True) -> Journal:
-    """Parse a journal (or a headerless ``--events`` capture).
+    """Parse a journal (or a headerless event stream).
 
     With ``require_header`` (the default), the first line must be a
     ``gadt_journal/1`` header; the exporter passes ``False`` so plain

@@ -18,7 +18,7 @@ under ``error_type``.
 
 When observability is disabled, :func:`repro.obs.span` hands back the
 shared :data:`NULL_SPAN` instead — entering and exiting it does nothing,
-following the null-hook pattern of
+as an unobserved interpreter run skips its
 :class:`repro.pascal.interpreter.ExecutionHooks`: the disabled path pays
 one flag test and no allocation.
 """

@@ -24,10 +24,9 @@ semantics.
 
 Execution speed (see ``docs/PERFORMANCE.md``): statements and expressions
 are dispatched through precomputed per-node-type tables instead of
-``isinstance`` chains, and when no observer is attached (``hooks=None``,
-the plain ``run_source`` case) the interpreter switches to a *null-hook
-fast path* that skips every :class:`ExecutionHooks` callback — the hot
-loop then pays nothing for the tracing machinery it is not using.
+``isinstance`` chains. Every hook call site tests ``self._hk is None``
+first, so an unobserved run (``hooks=None``, the plain ``run_source``
+case) makes no :class:`ExecutionHooks` calls at all.
 """
 
 from __future__ import annotations
@@ -140,12 +139,6 @@ class ExecutionHooks:
         """The program wrote ``text`` to its output."""
 
 
-#: Shared no-op hook instance used when execution is unobserved. Hot
-#: paths additionally test ``self._hk is None`` so the fast path never
-#: pays for a Python-level no-op call.
-_NULL_HOOKS = ExecutionHooks()
-
-
 class PascalIO:
     """Pluggable standard input/output for ``read``/``write``.
 
@@ -255,7 +248,8 @@ class Interpreter:
     ):
         self.analysis = analysis
         self.io = io if io is not None else PascalIO()
-        self.hooks = hooks if hooks is not None else _NULL_HOOKS
+        #: the observer, or None for an unobserved run
+        self._hk = hooks
         # A resource budget (repro.resilience.Budget) tightens the step
         # limit and call depth and adds a wall-clock deadline. The budget
         # is duck-typed — this module never imports the resilience layer,
@@ -272,13 +266,6 @@ class Interpreter:
         self.steps = 0
         self.globals_frame: Frame | None = None
         self._frames: list[Frame] = []
-        # Null-hook fast path: a bare ExecutionHooks (or None) observes
-        # nothing, so skip every callback. ``_hk`` is the single flag the
-        # hot paths test; the per-statement wrapper is swapped wholesale.
-        observed = hooks is not None and type(hooks) is not ExecutionHooks
-        self._hk: ExecutionHooks | None = self.hooks if observed else None
-        if not observed:
-            self._exec_stmt = self._exec_stmt_fast  # type: ignore[method-assign]
 
     # ------------------------------------------------------------------
     # entry points
@@ -479,7 +466,6 @@ class Interpreter:
             self._budget.check(stmt.location)
 
     def _exec_stmt(self, stmt: ast.Stmt, frame: Frame) -> None:
-        """Traced statement dispatch (hooks observe every statement)."""
         self.steps += 1
         if self.steps > self.step_limit:
             raise StepLimitExceeded(
@@ -489,26 +475,16 @@ class Interpreter:
             self._budget.check(stmt.location)
         handler = _STMT_DISPATCH.get(stmt.__class__)
         if handler is None:
-            handler = _register_subclass(_STMT_DISPATCH, stmt, "execute")
-        hooks = self.hooks
-        hooks.before_stmt(stmt, frame)
-        handler(self, stmt, frame)
-        hooks.after_stmt(stmt, frame)
-
-    def _exec_stmt_fast(self, stmt: ast.Stmt, frame: Frame) -> None:
-        """Null-hook statement dispatch (installed as ``_exec_stmt`` when
-        no observer is attached): no callback overhead at all."""
-        self.steps += 1
-        if self.steps > self.step_limit:
-            raise StepLimitExceeded(
-                f"execution exceeded {self.step_limit} steps", stmt.location
+            raise PascalRuntimeError(
+                f"cannot execute {type(stmt).__name__}", stmt.location
             )
-        if self._budget is not None and (self.steps & _DEADLINE_MASK) == 0:
-            self._budget.check(stmt.location)
-        handler = _STMT_DISPATCH.get(stmt.__class__)
-        if handler is None:
-            handler = _register_subclass(_STMT_DISPATCH, stmt, "execute")
-        handler(self, stmt, frame)
+        hk = self._hk
+        if hk is None:
+            handler(self, stmt, frame)
+        else:
+            hk.before_stmt(stmt, frame)
+            handler(self, stmt, frame)
+            hk.after_stmt(stmt, frame)
 
     # individual statement handlers (dispatch table targets) -----------
 
@@ -691,7 +667,9 @@ class Interpreter:
     def _eval(self, expr: ast.Expr, frame: Frame) -> object:
         handler = _EXPR_DISPATCH.get(expr.__class__)
         if handler is None:
-            handler = _register_subclass(_EXPR_DISPATCH, expr, "evaluate")
+            raise PascalRuntimeError(
+                f"cannot evaluate {type(expr).__name__}", expr.location
+            )
         return handler(self, expr, frame)
 
     def _eval_literal(self, expr: ast.Expr, frame: Frame) -> object:
@@ -895,9 +873,7 @@ class Interpreter:
 #
 # Precomputed per-node-type tables replace the former ``isinstance``-elif
 # chains: statement/expression dispatch is a single dict lookup on the
-# node's concrete class. Unknown classes (e.g. an ast subclass defined by
-# an extension) fall back to an ``isinstance`` scan once, then are
-# memoized into the table.
+# node's concrete class. A class missing from its table cannot run.
 
 _STMT_DISPATCH: dict[type, object] = {
     ast.EmptyStmt: Interpreter._exec_empty,
@@ -924,21 +900,9 @@ _EXPR_DISPATCH: dict[type, object] = {
 }
 
 
-def _register_subclass(table: dict[type, object], node: ast.Node, verb: str):
-    """Memoize dispatch for an ast subclass not directly in the table."""
-    for base, handler in list(table.items()):
-        if isinstance(node, base):
-            table[node.__class__] = handler
-            return handler
-    raise PascalRuntimeError(
-        f"cannot {verb} {type(node).__name__}", node.location
-    )
-
-
 def run_source(
     source: str,
     inputs: list[object] | None = None,
-    hooks: ExecutionHooks | None = None,
     step_limit: int = 2_000_000,
     budget=None,
     backend: str | None = None,
@@ -955,24 +919,18 @@ def run_source(
     ``"compiled"``). ``None`` means ``REPRO_BACKEND`` if set, else the
     interpreter: plain runs are the reference the conformance checks
     compare the compiled engine against, and a one-shot run costs less
-    to interpret than to compile. Custom ``hooks`` force the
-    interpreter — the hook protocol is exactly the indirection the
-    compiled backend removes."""
+    to interpret than to compile. To observe a run, build
+    ``Interpreter(analysis, hooks=...)`` instead."""
+    from repro.compile import resolve_backend
     from repro.pascal.semantics import analyze_source
 
     analysis = analyze_source(source)
-    if hooks is None:
-        from repro.compile import resolve_backend
+    if resolve_backend(backend, traced=False) == "compiled":
+        from repro.compile import run_compiled
 
-        if resolve_backend(backend, traced=False) == "compiled":
-            from repro.compile import run_compiled
-
-            return run_compiled(
-                analysis, io=PascalIO(inputs), step_limit=step_limit,
-                budget=budget,
-            )
-    interpreter = Interpreter(
-        analysis, io=PascalIO(inputs), hooks=hooks, step_limit=step_limit,
-        budget=budget,
-    )
-    return interpreter.run()
+        return run_compiled(
+            analysis, io=PascalIO(inputs), step_limit=step_limit, budget=budget
+        )
+    return Interpreter(
+        analysis, io=PascalIO(inputs), step_limit=step_limit, budget=budget
+    ).run()

@@ -14,6 +14,7 @@ becomes a unit node in the execution tree with per-iteration child nodes
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
@@ -47,6 +48,64 @@ class LoopUnitInfo:
     name: str
     inputs: tuple[Symbol, ...]
     outputs: tuple[Symbol, ...]
+
+
+class ActivationSymbols(NamedTuple):
+    """What one routine's activations record, in binding order; each
+    symbol comes with its ``is_global`` flag."""
+
+    inputs: list[tuple[Symbol, bool]]
+    outputs: list[tuple[Symbol, bool]]
+    #: the function result (recorded last, as a ``Result`` binding)
+    result: Symbol | None
+
+
+def activation_symbols(
+    analysis: AnalyzedProgram, side_effects: SideEffects, info: RoutineInfo
+) -> ActivationSymbols:
+    """The binding policy: which values an activation of ``info``
+    carries into the execution tree as its inputs and outputs (paper
+    §5.2). Both engines map these symbols to storage their own way, the
+    interpreter's :class:`Tracer` per activation and the compiler once
+    per routine, so they record the same bindings.
+
+    Inputs are value and ``in`` parameters, then the by-reference
+    parameters the routine reads and the globals it reads (sorted by
+    name), each only if live at entry: a ``var`` parameter or global
+    that is always overwritten before any read carries no meaningful
+    input value. Outputs are the ``var``/``out`` parameters and the
+    globals (sorted by name) the routine modifies, then the function
+    result.
+    """
+    from repro.analysis.cfg import build_cfg
+    from repro.analysis.dataflow import live_variables
+
+    effects = side_effects.of(info.symbol)
+    cfg = build_cfg(info, analysis)
+    # live *after* the entry node (parameter binding): the incoming
+    # values the body may actually read
+    entry_live = live_variables(cfg, side_effects).live_out[cfg.entry]
+    inputs = [
+        (param, False)
+        for param in info.params
+        if param.param_mode in (ast.ParamMode.VALUE, ast.ParamMode.IN_)
+        or (param in effects.ref_params and param in entry_live)
+    ]
+    inputs += [
+        (symbol, True)
+        for symbol in sorted(effects.gref, key=lambda s: s.name)
+        if symbol in entry_live
+    ]
+    outputs = [
+        (param, False)
+        for param in info.params
+        if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT)
+        and param in effects.mod_params
+    ]
+    outputs += [
+        (symbol, True) for symbol in sorted(effects.gmod, key=lambda s: s.name)
+    ]
+    return ActivationSymbols(inputs, outputs, info.result_symbol)
 
 
 @dataclass
@@ -110,7 +169,7 @@ class Tracer(ExecutionHooks):
         #: pin cells so id() keys stay unique for the lifetime of the trace
         self._pinned_cells: dict[int, Cell] = {}
 
-        self._entry_live_cache: dict[Symbol, set[Symbol]] = {}
+        self._activations: dict[Symbol, ActivationSymbols] = {}
         self._print_occs: set[int] = set()
         self.last_active_node_id: int = 0
         self._root: ExecNode | None = None
@@ -265,8 +324,7 @@ class Tracer(ExecutionHooks):
             self.profiler.exit_unit()
         node = self._node_stack.pop()
         node.via_goto = via_goto.name if via_goto is not None else None
-        node.outputs = self._output_bindings(info, frame)
-        self._record_output_writers(node, info, frame)
+        self._close_outputs(node, info, frame)
         # Reading the function result happens at the caller's occurrence.
         if frame.result_cell is not None and self._occ_stack:
             writer = self._last_writer.get((id(frame.result_cell), None))
@@ -354,55 +412,26 @@ class Tracer(ExecutionHooks):
         except Exception:
             return None
 
-    def _entry_live(self, info: RoutineInfo) -> set[Symbol]:
-        """Symbols whose *incoming* value the routine may actually use.
-
-        A var parameter (or read global) that is always overwritten before
-        any read carries no meaningful input value; live-variables at the
-        routine entry is exactly the right filter for "In" bindings.
-        """
-        cached = self._entry_live_cache.get(info.symbol)
-        if cached is not None:
-            return cached
-        from repro.analysis.cfg import build_cfg
-        from repro.analysis.dataflow import live_variables
-
-        cfg = build_cfg(info, self.analysis)
-        live = live_variables(cfg, self.side_effects)
-        # live *after* the entry node (parameter binding): the incoming
-        # values the body may actually read.
-        result = set(live.live_out[cfg.entry])
-        self._entry_live_cache[info.symbol] = result
-        return result
+    def _activation(self, info: RoutineInfo) -> ActivationSymbols:
+        symbols = self._activations.get(info.symbol)
+        if symbols is None:
+            symbols = activation_symbols(self.analysis, self.side_effects, info)
+            self._activations[info.symbol] = symbols
+        return symbols
 
     def _input_bindings(self, info: RoutineInfo, frame: Frame) -> list[Binding]:
         if info.is_main:
             return []
-        effects = self.side_effects.of(info.symbol)
-        entry_live = self._entry_live(info)
-        bindings: list[Binding] = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VALUE, ast.ParamMode.IN_):
-                bindings.append(
-                    Binding(param.name, BindingMode.IN, self._symbol_value(param, frame))
-                )
-            elif param in effects.ref_params and param in entry_live:
-                bindings.append(
-                    Binding(param.name, BindingMode.IN, self._symbol_value(param, frame))
-                )
-        for symbol in sorted(effects.gref, key=lambda s: s.name):
-            if symbol in entry_live:
-                bindings.append(
-                    Binding(
-                        symbol.name,
-                        BindingMode.IN,
-                        self._symbol_value(symbol, frame),
-                        is_global=True,
-                    )
-                )
-        return bindings
+        return [
+            Binding(
+                symbol.name, BindingMode.IN, self._symbol_value(symbol, frame), is_global
+            )
+            for symbol, is_global in self._activation(info).inputs
+        ]
 
-    def _output_bindings(self, info: RoutineInfo, frame: Frame) -> list[Binding]:
+    def _close_outputs(self, node: ExecNode, info: RoutineInfo, frame: Frame) -> None:
+        """Snapshot the activation's outputs and record, per output, the
+        occurrences that last wrote it (the slice criteria)."""
         if info.is_main:
             # The program's observable result is what it printed: that is
             # the "externally visible symptom" the whole session starts
@@ -410,34 +439,35 @@ class Tracer(ExecutionHooks):
             assert self.interpreter is not None
             text = self.interpreter.io.text
             if text:
-                return [Binding("output", BindingMode.OUT, text)]
-            return []
-        effects = self.side_effects.of(info.symbol)
-        bindings: list[Binding] = []
-        for param in info.params:
-            if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT):
-                if param in effects.mod_params:
-                    bindings.append(
-                        Binding(
-                            param.name, BindingMode.OUT, self._symbol_value(param, frame)
-                        )
-                    )
-        for symbol in sorted(effects.gmod, key=lambda s: s.name):
-            bindings.append(
-                Binding(
-                    symbol.name,
-                    BindingMode.OUT,
-                    self._symbol_value(symbol, frame),
-                    is_global=True,
-                )
+                node.outputs = [Binding("output", BindingMode.OUT, text)]
+                self._output_writers[(node.node_id, "output")] = set(self._print_occs)
+            return
+        symbols = self._activation(info)
+        outputs = [
+            self._output(
+                node, symbol.name, BindingMode.OUT, self._symbol_cell(symbol, frame),
+                is_global,
             )
-        if frame.result_cell is not None:
-            bindings.append(
-                Binding(
-                    info.name, BindingMode.RESULT, copy_value(frame.result_cell.value)
-                )
+            for symbol, is_global in symbols.outputs
+        ]
+        if symbols.result is not None:
+            outputs.append(
+                self._output(node, info.name, BindingMode.RESULT, frame.result_cell)
             )
-        return bindings
+        node.outputs = outputs
+
+    def _output(
+        self,
+        node: ExecNode,
+        name: str,
+        mode: BindingMode,
+        cell: Cell | None,
+        is_global: bool = False,
+    ) -> Binding:
+        if cell is None:
+            return Binding(name, mode, UNDEFINED, is_global)
+        self._output_writers[(node.node_id, name)] = self._writers_of_cell(cell)
+        return Binding(name, mode, copy_value(cell.value), is_global)
 
     def _loop_bindings(
         self, symbols: tuple[Symbol, ...], frame: Frame, mode: BindingMode
@@ -457,25 +487,6 @@ class Tracer(ExecutionHooks):
                 writers.add(occ)
         return writers
 
-    def _record_output_writers(
-        self, node: ExecNode, info: RoutineInfo, frame: Frame
-    ) -> None:
-        for binding in node.outputs:
-            if info.is_main and binding.name == "output":
-                self._output_writers[(node.node_id, "output")] = set(
-                    self._print_occs
-                )
-                continue
-            if binding.mode is BindingMode.RESULT:
-                cell = frame.result_cell
-            else:
-                symbol = self._find_output_symbol(info, binding)
-                cell = self._symbol_cell(symbol, frame) if symbol is not None else None
-            if cell is not None:
-                self._output_writers[(node.node_id, binding.name)] = (
-                    self._writers_of_cell(cell)
-                )
-
     def _record_loop_output_writers(
         self, node: ExecNode, unit: LoopUnitInfo, frame: Frame
     ) -> None:
@@ -485,20 +496,6 @@ class Tracer(ExecutionHooks):
                 self._output_writers[(node.node_id, symbol.name)] = (
                     self._writers_of_cell(cell)
                 )
-
-    def _find_output_symbol(
-        self, info: RoutineInfo, binding: Binding
-    ) -> Symbol | None:
-        if binding.is_global:
-            effects = self.side_effects.of(info.symbol)
-            for symbol in effects.gmod:
-                if symbol.name == binding.name:
-                    return symbol
-            return None
-        for param in info.params:
-            if param.name == binding.name:
-                return param
-        return None
 
 
 def trace_program(
@@ -632,7 +629,7 @@ def trace_program(
             obs.add("resilience.degraded_traces")
     if obs.enabled():
         # End-of-trace accounting only: the per-statement hot path stays
-        # untouched (see the null-hook fast path in the interpreter).
+        # untouched.
         nodes = result.tree.size()
         occurrences = len(result.dependence_graph)
         edges = result.dependence_graph.edge_count()

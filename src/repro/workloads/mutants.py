@@ -175,12 +175,13 @@ def _debug_one_mutant(
     step_limit: int,
     deadline_s: float | None = None,
     degrade: bool = False,
+    backend: str | None = None,
 ) -> LocalizationOutcome:
     """Run/trace/debug one mutant (shared by sequential and parallel paths)."""
     started = time.perf_counter()
     outcome = _debug_one_mutant_impl(
         mutant, baseline, reference, strategy, enable_slicing, step_limit,
-        deadline_s, degrade,
+        deadline_s, degrade, backend,
     )
     outcome.seconds = time.perf_counter() - started
     return outcome
@@ -195,6 +196,7 @@ def _debug_one_mutant_impl(
     step_limit: int,
     deadline_s: float | None = None,
     degrade: bool = False,
+    backend: str | None = None,
 ) -> LocalizationOutcome:
     from repro.core import AlgorithmicDebugger, GadtSystem
     from repro.pascal import run_source
@@ -208,7 +210,7 @@ def _debug_one_mutant_impl(
     )
     try:
         output = run_source(
-            mutant.source, step_limit=step_limit, budget=budget
+            mutant.source, step_limit=step_limit, budget=budget, backend=backend
         ).output
     except BudgetExceeded as exc:
         return LocalizationOutcome(
@@ -225,7 +227,11 @@ def _debug_one_mutant_impl(
     # Those failures must cost this mutant its slot, never the sweep.
     try:
         system = GadtSystem.from_source(
-            mutant.source, step_limit=step_limit, budget=budget, degrade=degrade
+            mutant.source,
+            step_limit=step_limit,
+            budget=budget,
+            degrade=degrade,
+            backend=backend,
         )
         debugger = AlgorithmicDebugger(
             system.trace,
@@ -263,8 +269,8 @@ def _debug_one_mutant_impl(
 
 #: per-worker-process state for the parallel path, built once by the pool
 #: initializer: (baseline output, reference oracle, strategy, slicing,
-#: step limit, deadline, degrade flag). Each worker owns a private
-#: oracle, so no state is shared across processes.
+#: step limit, deadline, degrade flag, backend). Each worker owns a
+#: private oracle, so no state is shared across processes.
 _WORKER_STATE = None
 
 
@@ -276,6 +282,7 @@ def _init_mutant_worker(
     deadline_s: float | None = None,
     degrade: bool = False,
     fault_plan=None,
+    backend: str | None = None,
 ) -> None:
     global _WORKER_STATE
     from repro.core import ReferenceOracle
@@ -289,11 +296,13 @@ def _init_mutant_worker(
     # A forked worker inherits the parent's patch recipes, a spawned one
     # does not: registering them here spares every mutant's front half.
     generate_mutants(source)
-    baseline = run_source(source, step_limit=step_limit).output
-    reference = ReferenceOracle.from_source(source, step_limit=step_limit)
+    baseline = run_source(source, step_limit=step_limit, backend=backend).output
+    reference = ReferenceOracle.from_source(
+        source, step_limit=step_limit, backend=backend
+    )
     _WORKER_STATE = (
         baseline, reference, strategy, enable_slicing, step_limit,
-        deadline_s, degrade,
+        deadline_s, degrade, backend,
     )
 
 
@@ -303,14 +312,7 @@ def _evaluate_in_worker(mutant: Mutant, attempt: int = 0) -> LocalizationOutcome
     # The "worker" fault point: keyed on description@attempt so a plan
     # can kill attempt 0 of one mutant and let its retry run clean.
     faults.trip("worker", key=f"{mutant.description}@{attempt}")
-    (
-        baseline, reference, strategy, enable_slicing, step_limit,
-        deadline_s, degrade,
-    ) = _WORKER_STATE
-    return _debug_one_mutant(
-        mutant, baseline, reference, strategy, enable_slicing, step_limit,
-        deadline_s, degrade,
-    )
+    return _debug_one_mutant(mutant, *_WORKER_STATE)
 
 
 def evaluate_mutants(
@@ -323,6 +325,7 @@ def evaluate_mutants(
     deadline_s: float | None = None,
     retries: int = 1,
     degrade: bool = False,
+    backend: str | None = None,
 ) -> list[LocalizationOutcome]:
     """Debug every behaviour-changing mutant against the original program.
 
@@ -348,6 +351,10 @@ def evaluate_mutants(
     then *infra_error*), and each worker builds its own reference
     oracle, so the result list is identical (including order) to the
     sequential path. ``workers=0`` or negative is rejected.
+
+    ``backend`` picks the execution engine for every run, trace and
+    reference oracle of the sweep, in the workers too (see
+    :func:`repro.compile.resolve_backend`).
     """
     if workers is not None and workers < 1:
         raise ValueError(
@@ -370,7 +377,7 @@ def evaluate_mutants(
                 initializer=_init_mutant_worker,
                 initargs=(
                     source, strategy, enable_slicing, step_limit,
-                    deadline_s, degrade, faults.active(),
+                    deadline_s, degrade, faults.active(), backend,
                 ),
                 timeout_s=pool_timeout,
                 retries=retries,
@@ -393,12 +400,16 @@ def evaluate_mutants(
             from repro.core import ReferenceOracle
             from repro.pascal import run_source
 
-            baseline = run_source(source, step_limit=step_limit).output
-            reference = ReferenceOracle.from_source(source, step_limit=step_limit)
+            baseline = run_source(
+                source, step_limit=step_limit, backend=backend
+            ).output
+            reference = ReferenceOracle.from_source(
+                source, step_limit=step_limit, backend=backend
+            )
             outcomes = [
                 _debug_one_mutant(
                     mutant, baseline, reference, strategy, enable_slicing,
-                    step_limit, deadline_s, degrade,
+                    step_limit, deadline_s, degrade, backend,
                 )
                 for mutant in mutants
             ]

@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from repro.compile import BACKENDS, default_backend, resolve_backend
 from repro.pascal import run_source
 from repro.pascal.errors import PascalError
-from repro.pascal.interpreter import ExecutionHooks
 from repro.resilience import Budget, faults
 from repro.resilience.faults import FaultSpec
 from repro.tracing import trace_source
@@ -262,28 +261,6 @@ def test_figure4_buggy_session_conforms():
 
 # ----------------------------------------------------------------------
 # backend selection plumbing
-
-
-def test_custom_hooks_force_the_interpreter():
-    """User-supplied hooks ride the hook protocol, which only the
-    interpreter implements — backend=compiled must not silently drop
-    them."""
-
-    class Counting(ExecutionHooks):
-        def __init__(self):
-            self.statements = 0
-
-        def before_stmt(self, stmt, frame):
-            self.statements += 1
-
-    hooks = Counting()
-    result = run_source(
-        "program t; var x: integer; begin x := 1; writeln(x) end.",
-        hooks=hooks,
-        backend="compiled",
-    )
-    assert result.output == "1\n"
-    assert hooks.statements > 0
 
 
 def test_backend_resolution(monkeypatch):

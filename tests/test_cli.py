@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
@@ -345,7 +346,7 @@ class TestProfileAndEvents:
         assert "debug.session" in captured.err
 
     def test_debug_events_jsonl(self, fig4, fig4_fixed, tmp_path, capsys):
-        events_path = tmp_path / "events.jsonl"
+        journal_path = tmp_path / "session.journal.jsonl"
         assert main(
             [
                 "debug",
@@ -353,13 +354,14 @@ class TestProfileAndEvents:
                 "--reference",
                 fig4_fixed,
                 "--quiet",
-                "--events",
-                str(events_path),
+                "--journal",
+                str(journal_path),
             ]
         ) == 0
-        events = [
-            json.loads(line) for line in events_path.read_text().splitlines()
+        header, *events = [
+            json.loads(line) for line in journal_path.read_text().splitlines()
         ]
+        assert header["kind"] == "journal"
         assert events
         kinds = {event["kind"] for event in events}
         assert "query" in kinds
@@ -380,6 +382,88 @@ class TestProfileAndEvents:
         err = capsys.readouterr().err
         assert "== observability ==" in err
         assert "trace.execute" in err
+
+
+class TestBackendIsAnArgument:
+    """``--backend`` reaches the library as an argument: no command
+    writes the process environment, not even while it runs."""
+
+    FAILING = "program t; var x: integer; begin x := 0; writeln(1 div x) end."
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        """(entry point, backend= argument, REPRO_BACKEND at call time)
+        for every call of the library entry points the commands use."""
+        import repro.cli as cli
+        import repro.workloads.mutants as mutants
+        from repro.core import GadtSystem, ReferenceOracle
+
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        seen = []
+
+        def spy(name, original):
+            def call(*args, **kwargs):
+                env = os.environ.get("REPRO_BACKEND")
+                seen.append((name, kwargs.get("backend"), env))
+                return original(*args, **kwargs)
+
+            return call
+
+        for owner, name in (
+            (cli, "run_source"),
+            (cli, "trace_source"),
+            (mutants, "evaluate_mutants"),
+        ):
+            monkeypatch.setattr(owner, name, spy(name, getattr(owner, name)))
+        for owner in (GadtSystem, ReferenceOracle):
+            name = f"{owner.__name__}.from_source"
+            monkeypatch.setattr(
+                owner,
+                "from_source",
+                staticmethod(spy(name, owner.from_source)),
+            )
+        return seen
+
+    @pytest.mark.parametrize(
+        "argv, expected_code, entry_points",
+        [
+            (["run", "{fig4}"], 0, {"run_source"}),
+            (["run", "{failing}"], 2, {"run_source"}),
+            (["trace", "{fig4}"], 0, {"trace_source"}),
+            (
+                ["debug", "{fig4}", "--reference", "{fixed}", "--quiet"],
+                0,
+                {"GadtSystem.from_source", "ReferenceOracle.from_source"},
+            ),
+            (
+                ["stats", "{fig4}", "--reference", "{fixed}"],
+                0,
+                {"GadtSystem.from_source", "ReferenceOracle.from_source"},
+            ),
+            (
+                ["mutate", "{small}", "--evaluate"],
+                0,
+                {"evaluate_mutants", "ReferenceOracle.from_source"},
+            ),
+        ],
+        ids=["run", "run-exits-2", "trace", "debug", "stats", "mutate"],
+    )
+    def test_backend_travels_as_an_argument(
+        self, argv, expected_code, entry_points, calls, fig4, fig4_fixed, tmp_path,
+        capsys,
+    ):
+        failing = tmp_path / "failing.pas"
+        failing.write_text(self.FAILING)
+        small = tmp_path / "small.pas"
+        small.write_text(TestMutate.SMALL)
+        paths = {"fig4": fig4, "fixed": fig4_fixed, "failing": failing, "small": small}
+        argv = [arg.format(**paths) for arg in argv] + ["--backend", "interp"]
+        before = dict(os.environ)
+        assert main(argv) == expected_code
+        assert dict(os.environ) == before
+        assert entry_points <= {name for name, _, _ in calls}
+        for name, backend, env in calls:
+            assert (name, backend, env) == (name, "interp", None)
 
 
 class TestStats:

@@ -365,6 +365,12 @@ class TestConcurrency:
             return cache_stats()["patch"]["hits"] - hits
 
 
+        def worker_backend():
+            from repro.workloads.mutants import _WORKER_STATE
+
+            return _WORKER_STATE[-1]
+
+
         if __name__ == "__main__":
             multiprocessing.set_start_method("spawn")
             from repro.workloads import FIGURE4_FIXED_SOURCE as source
@@ -381,6 +387,15 @@ class TestConcurrency:
                 initargs=(source, "top-down", True, 500_000),
             ) as pool:
                 print(pool.submit(patched_analyses, mutants[0].source).result())
+            # The backend reaches spawned workers as an initializer argument.
+            assert evaluate_mutants(
+                source, mutants, workers=2, backend="interp"
+            ) == evaluate_mutants(source, mutants, backend="interp")
+            with ProcessPoolExecutor(
+                1, initializer=_init_mutant_worker,
+                initargs=(source, "top-down", True, 500_000, None, False, None, "interp"),
+            ) as pool:
+                print(pool.submit(worker_backend).result())
         """
     )
 
@@ -390,6 +405,7 @@ class TestConcurrency:
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.environ.get("PYTHONPATH")
         env = {**os.environ, "PYTHONPATH": src if not path else src + os.pathsep + path}
+        env.pop("REPRO_BACKEND", None)
         proc = subprocess.run(
             [sys.executable, str(script)],
             capture_output=True,
@@ -398,4 +414,4 @@ class TestConcurrency:
             timeout=300,
         )
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split() == ["1"]
+        assert proc.stdout.split() == ["1", "interp"]

@@ -94,25 +94,8 @@ class TestTransformCache:
 
 
 class TestNullHookFastPath:
-    def test_no_hooks_installs_fast_dispatch(self):
-        interpreter = Interpreter(analyze_source(SOURCE))
-        assert interpreter._hk is None
-        assert (
-            interpreter._exec_stmt.__func__
-            is Interpreter._exec_stmt_fast
-        )
-
-    def test_base_hooks_instance_also_fast(self):
-        interpreter = Interpreter(analyze_source(SOURCE), hooks=ExecutionHooks())
-        assert interpreter._hk is None
-
-    def test_observer_keeps_traced_dispatch(self):
-        class Observer(ExecutionHooks):
-            pass
-
-        interpreter = Interpreter(analyze_source(SOURCE), hooks=Observer())
-        assert interpreter._hk is not None
-        assert "_exec_stmt" not in vars(interpreter)
+    """An unobserved run (no hooks) and an observed one take the same
+    statement dispatch and agree on output and step count."""
 
     def test_fast_and_traced_paths_agree(self):
         class Counter(ExecutionHooks):

@@ -191,6 +191,43 @@ class TestReplayCli:
         assert main(["replay", str(journal)]) == 1
         assert "DIVERGED" in capsys.readouterr().out
 
+    def test_meta_records_only_the_backend_flag(self, tmp_path, capsys, monkeypatch):
+        """The process default is not the session's choice: a journal
+        recorded under an unnormalised ``REPRO_BACKEND`` records no
+        backend, and replay uses the trace record's resolved one."""
+        from repro.cli import main
+
+        monkeypatch.setenv("REPRO_BACKEND", "Compiled ")
+        buggy, fixed = self.write_programs(tmp_path)
+        journal = tmp_path / "session.jsonl"
+        assert main([
+            "debug", str(buggy), "--reference", str(fixed),
+            "--quiet", "--journal", str(journal),
+        ]) == 0
+        assert read_journal(str(journal)).meta["backend"] is None
+        assert main(["replay", str(journal)]) == 0
+        assert "replay (compiled backend): identical" in capsys.readouterr().out
+
+    def test_invalid_recorded_backend_exits_2(self, tmp_path, capsys):
+        from repro.cli import main
+
+        buggy, fixed = self.write_programs(tmp_path)
+        journal = tmp_path / "session.jsonl"
+        assert main([
+            "debug", str(buggy), "--reference", str(fixed),
+            "--quiet", "--journal", str(journal),
+        ]) == 0
+        header, *rest = journal.read_text().splitlines()
+        record = json.loads(header)
+        record["meta"]["backend"] = "Compiled "
+        journal.write_text("\n".join([json.dumps(record), *rest]) + "\n")
+        capsys.readouterr()
+        assert main(["replay", str(journal)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "'Compiled '" in err
+        assert "Traceback" not in err
+
     def test_bad_journal_exits_2(self, tmp_path, capsys):
         from repro.cli import main
 
