@@ -3,7 +3,7 @@
 Usage::
 
     PYTHONPATH=src python benchmarks/run_serve.py [--sessions 100]
-        [--workers 4] [--executor thread|process] [--duration 5]
+        [--workers 4] [--duration 5]
         [--overload 2.0] [--fault serve.worker] [--output BENCH_serve.json]
 
 Two phases against one in-process :class:`repro.serve.DebugService`
@@ -22,7 +22,7 @@ multiplexed over one shared sharded test-report store:
 ``--fault serve.worker`` additionally injects a raise-mode fault into
 every job's first execution attempt, so the overload run doubles as a
 retry-path soak: throughput drops, but the invariant must hold. CI
-(the ``serve-smoke`` job) runs exactly that configuration.
+(the ``serve-smoke`` job) runs both configurations.
 
 The artifact (``bench_serve/1``) records throughput, wait/latency
 percentiles (p50/p95/p99), per-status counts, and the shed rate, so
@@ -189,7 +189,6 @@ async def overload_run(
 async def collect(args: argparse.Namespace, testdb: str) -> dict:
     config = ServeConfig(
         workers=args.workers,
-        executor=args.executor,
         max_queue=args.max_queue,
         default_deadline_s=10.0,
         retries=2,
@@ -218,7 +217,6 @@ async def collect(args: argparse.Namespace, testdb: str) -> dict:
         "schema": "bench_serve/1",
         "config": {
             "workers": args.workers,
-            "executor": args.executor,
             "max_queue": args.max_queue,
             "sessions": args.sessions,
             "overload_factor": args.overload,
@@ -236,8 +234,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--sessions", type=int, default=100,
                         help="concurrent sessions (default: %(default)s)")
     parser.add_argument("--workers", type=int, default=4)
-    parser.add_argument("--executor", choices=["thread", "process"],
-                        default="thread")
     parser.add_argument("--max-queue", type=int, default=32)
     parser.add_argument("--duration", type=float, default=5.0,
                         help="overload-phase seconds (default: %(default)s)")

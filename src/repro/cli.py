@@ -491,7 +491,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     config = ServeConfig(
         workers=args.workers,
-        executor=args.executor,
         max_queue=args.max_queue,
         queue_timeout_s=args.queue_timeout,
         default_deadline_s=args.job_deadline,
@@ -910,12 +909,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--workers", type=int, default=2, help="worker slots (default 2)"
-    )
-    serve_parser.add_argument(
-        "--executor",
-        default="process",
-        choices=["process", "thread"],
-        help="worker isolation: crash-isolated processes or fast threads",
     )
     serve_parser.add_argument(
         "--max-queue",

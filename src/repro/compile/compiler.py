@@ -13,10 +13,10 @@ through a one-element ``body_refs`` cell that first holds a stub; the
 stub compiles the body on the routine's first call, stores it in the
 cell, and runs it. Routines a run never calls are never compiled, and
 neither are their call sites or the binding plans those would need.
-The stub is safe to race (``repro serve --executor thread`` shares
-cached programs between jobs): compiling is a pure function of the
-analysis, so two threads that both miss build equivalent closures, and
-the cell write is a single store, so every caller runs a complete body.
+The stub is safe to race when threads share a cached program:
+compiling is a pure function of the analysis, so two threads that both
+miss build equivalent closures, and the cell write is a single store,
+so every caller runs a complete body.
 
 Traced closures carry their event emission *inline*: the statement
 prologue (:func:`repro.compile.emit.enter_stmt`) allocates the

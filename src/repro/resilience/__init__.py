@@ -12,8 +12,10 @@ instead of failing wholesale:
   :class:`WorkerCrashed`) — classifiable failures replacing bare
   propagation, so sweeps attribute each failure to one task;
 * **crash isolation** (:func:`run_isolated`) — per-task process-pool
-  submission with timeouts, worker-death attribution, and bounded
-  retries paced by jittered exponential backoff (:class:`Backoff`);
+  submission with timeouts, worker-death attribution from lock-free
+  start stamps, and bounded retries paced by jittered exponential
+  backoff (:class:`Backoff`); ``repro serve`` kills a stuck slot with
+  the same :func:`~repro.resilience.pool.kill_executor`;
 * **degradation** (:func:`cap_depth`) — salvaging depth-capped partial
   execution trees when tracing blows its budget, so the debugger can
   still localize on partial information;

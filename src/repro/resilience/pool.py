@@ -9,12 +9,13 @@ module replaces it with per-task submission on a
 * **per-task timeouts** — a task that exceeds ``timeout_s`` is marked
   ``timed_out``; its stuck worker is terminated and the pool rebuilt,
   so the hang costs one slot, never the sweep;
-* **crash attribution** — workers announce each task start on a shared
-  queue, so when a worker death breaks the pool merely-queued tasks are
-  resubmitted free; a lone running task is charged the failure, and
-  when several tasks were running concurrently (the executor kills all
-  workers on a break, so the culprit is ambiguous) they are charged
-  nothing and quarantined to a solo phase where each re-runs on its own
+* **crash attribution** — a worker stamps each task's submission id
+  into a shared lock-free array as the task starts, so when a worker
+  death breaks the pool merely-queued tasks are resubmitted free; a
+  lone running task is charged the failure, and when several tasks
+  were running concurrently (the executor kills all workers on a
+  break, so the culprit is ambiguous) they are charged nothing and
+  quarantined to a solo phase where each re-runs on its own
   single-worker executor and any death is unambiguous;
 * **bounded retries with jittered exponential backoff** — a failed
   task (worker exception or death) is retried up to ``retries`` times,
@@ -28,6 +29,11 @@ Results come back as :class:`TaskResult` records, one per payload, in
 payload order — an ``ok`` result for every task whose function
 returned, and a classified failure for every task that could not be
 completed. The call itself never raises for task-level failures.
+
+This is the one way the pipeline runs work in another process:
+``repro serve`` builds its single-process slots on
+:class:`~concurrent.futures.ProcessPoolExecutor` too, and kills a stuck
+one with :func:`kill_executor`.
 """
 
 from __future__ import annotations
@@ -62,33 +68,42 @@ class TaskResult:
 # ----------------------------------------------------------------------
 # worker side
 
-_START_QUEUE = None  # set per worker process by _pool_init
+_STAMPS = None  # set per worker process by _pool_init
 
 
-def _pool_init(start_queue, user_initializer, user_initargs) -> None:
-    global _START_QUEUE
+def _pool_init(stamps, user_initializer, user_initargs) -> None:
+    global _STAMPS
     # Move the heap a forked worker inherits into the permanent
     # generation (an O(1) splice), so the worker's own collections walk
     # only what its tasks allocate, not the parent's whole heap.
     gc.freeze()
-    _START_QUEUE = start_queue
+    _STAMPS = stamps
     if user_initializer is not None:
         user_initializer(*user_initargs)
 
 
 def _entry(fn, index: int, submit_id: int, attempt: int, payload):
-    """Announce the task start, then run it. The announcement is what
-    lets the parent attribute a later pool break to this task."""
-    if _START_QUEUE is not None:
-        try:
-            _START_QUEUE.put((index, submit_id))
-        except Exception:
-            pass  # attribution is best-effort; the task still runs
+    """Stamp the task start, then run it. The stamp is what lets the
+    parent attribute a later pool break to this task; the write takes
+    no lock, so a worker killed at any point cannot wedge it."""
+    _STAMPS[index] = submit_id
     return fn(payload, attempt)
 
 
 # ----------------------------------------------------------------------
 # parent side
+
+
+def kill_executor(executor: ProcessPoolExecutor) -> None:
+    """Terminate an executor's worker processes and shut it down without
+    waiting: a stuck task cannot be cancelled, only killed."""
+    processes = getattr(executor, "_processes", None) or {}
+    for process in list(processes.values()):
+        try:
+            process.terminate()
+        except Exception:
+            pass
+    executor.shutdown(wait=False, cancel_futures=True)
 
 
 def run_isolated(
@@ -127,38 +142,24 @@ def run_isolated(
     _sleep = sleep if sleep is not None else time.sleep
     schedule = RetrySchedule(backoff=backoff, clock=_clock)
 
-    manager = multiprocessing.Manager()
-    start_queue = manager.Queue()
+    # stamps[index] is the submit id of the index's last started
+    # attempt; submit ids start at 1, so 0 means "never started"
+    stamps = multiprocessing.RawArray("q", len(payloads))
 
     results: dict[int, TaskResult] = {}
     failures = {index: 0 for index in range(len(payloads))}
     submit_ids = {index: 0 for index in range(len(payloads))}
-    started: set[tuple[int, int]] = set()  # (index, submit_id) seen running
 
-    def make_executor() -> ProcessPoolExecutor:
+    pool_size = min(workers, len(payloads))
+
+    def make_executor(max_workers: int) -> ProcessPoolExecutor:
         return ProcessPoolExecutor(
-            max_workers=min(workers, len(payloads)),
+            max_workers=max_workers,
             initializer=_pool_init,
-            initargs=(start_queue, initializer, initargs),
+            initargs=(stamps, initializer, initargs),
         )
 
-    def drain_started() -> None:
-        while True:
-            try:
-                started.add(start_queue.get_nowait())
-            except Exception:
-                return
-
-    def kill_executor(executor: ProcessPoolExecutor) -> None:
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            try:
-                process.terminate()
-            except Exception:
-                pass
-        executor.shutdown(wait=False, cancel_futures=True)
-
-    executor = make_executor()
+    executor = make_executor(pool_size)
     pending: dict[Future, int] = {}
     submitted_at: dict[int, float] = {}
 
@@ -222,7 +223,6 @@ def run_isolated(
                 done, _ = wait(
                     set(pending), timeout=_POLL_S, return_when=FIRST_COMPLETED
                 )
-                drain_started()
 
                 for future in done:
                     index = pending.pop(future)
@@ -244,7 +244,7 @@ def run_isolated(
                 # Every remaining future of this executor is dead —
                 # including the ones already reaped above, whose
                 # ``result()`` raised the pool-break itself. Tasks that
-                # never announced a start were merely queued: resubmit
+                # never stamped a start were merely queued: resubmit
                 # them free. Tasks that *were* running are suspects, but
                 # when several ran concurrently only one of them killed
                 # the worker — charging all of them lets a crasher's
@@ -252,7 +252,6 @@ def run_isolated(
                 # lone suspect is charged directly; multiple suspects
                 # are charged nothing and quarantined to the solo phase,
                 # where each runs alone and any death is unambiguous.
-                drain_started()
                 for future in [f for f in pending if f.done()]:
                     # completed before the break — keep the result
                     index = pending.pop(future)
@@ -271,13 +270,13 @@ def run_isolated(
                 suspects = []
                 requeue = []
                 for index in (*broken, *pending.values()):
-                    if (index, submit_ids[index]) in started:
+                    if stamps[index] == submit_ids[index]:
                         suspects.append(index)
                     else:
                         requeue.append(index)
                 pending.clear()
                 executor.shutdown(wait=False, cancel_futures=True)
-                executor = make_executor()
+                executor = make_executor(pool_size)
                 if len(suspects) == 1:
                     if record_failure(suspects[0], "worker process died"):
                         solo_queue.append(suspects[0])
@@ -308,7 +307,7 @@ def run_isolated(
                     )
                     pending.clear()
                     kill_executor(executor)
-                    executor = make_executor()
+                    executor = make_executor(pool_size)
 
         # Solo phase: each quarantined task gets a fresh single-worker
         # executor per attempt, so a repeat death is attributed beyond
@@ -319,11 +318,7 @@ def run_isolated(
                 if remaining > 0:  # wait out this attempt's backoff
                     _sleep(remaining)
                 submit_ids[index] += 1
-                solo = ProcessPoolExecutor(
-                    max_workers=1,
-                    initializer=_pool_init,
-                    initargs=(start_queue, initializer, initargs),
-                )
+                solo = make_executor(1)
                 future = solo.submit(
                     _entry, fn, index, submit_ids[index],
                     failures[index], payloads[index],
@@ -351,6 +346,5 @@ def run_isolated(
                     solo.shutdown(wait=False, cancel_futures=True)
     finally:
         executor.shutdown(wait=False, cancel_futures=True)
-        manager.shutdown()
 
     return [results[index] for index in range(len(payloads))]

@@ -21,11 +21,11 @@ Robustness mechanisms, in the order a job meets them:
    it waits is ``timed_out`` *before* it burns a worker; the deadline
    covers wait + execution, so a slow queue eats into execution budget,
    never past it.
-3. **slot-isolated workers** — in process mode every concurrency slot
-   owns its own single-process executor, so a worker death breaks
-   exactly one slot and is attributed to exactly one job (the
-   permanent form of :mod:`repro.resilience.pool`'s solo-phase
-   disambiguation); the slot's process is rebuilt and the job retried.
+3. **slot-isolated workers** — every concurrency slot owns its own
+   single-process executor, so a worker death breaks exactly one slot
+   and is attributed to exactly one job (the permanent form of
+   :mod:`repro.resilience.pool`'s solo-phase disambiguation); the
+   slot's process is rebuilt and the job retried.
 4. **retry with jittered exponential backoff** — infra failures
    (worker death, injected ``serve.worker`` faults, ``OSError``) are
    retried up to ``retries`` times via the shared
@@ -50,15 +50,16 @@ from __future__ import annotations
 
 import asyncio
 import time
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Callable
 
 from repro import obs
 from repro.resilience import faults
 from repro.resilience.backoff import Backoff
 from repro.resilience.errors import FaultInjected
+from repro.resilience.pool import kill_executor
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import (
     CONTROL_OPS,
@@ -77,9 +78,6 @@ class ServeConfig:
     bounded queue, short deadlines, and crash-isolated process slots."""
 
     workers: int = 2
-    #: "process" (slot-isolated child processes; crash-tolerant) or
-    #: "thread" (threads of this process; faster start, no isolation)
-    executor: str = "process"
     max_queue: int = 64
     #: cap on time spent waiting for a slot (the job deadline also caps it)
     queue_timeout_s: float | None = 30.0
@@ -153,11 +151,10 @@ class _InfraFailure(Exception):
 
 @dataclass
 class _Slot:
-    """One concurrency slot; in process mode it owns its executor."""
+    """One concurrency slot: the single-process executor it owns,
+    replaced by :meth:`DebugService._rebuild_slot` when it breaks."""
 
-    index: int
-    executor: Any
-    owned: bool  # True = single-process executor private to this slot
+    executor: ProcessPoolExecutor
 
 
 class DebugService:
@@ -170,8 +167,6 @@ class DebugService:
         clock: Callable[[], float] | None = None,
     ):
         self.config = config or ServeConfig()
-        if self.config.executor not in ("process", "thread"):
-            raise ValueError(f"unknown executor {self.config.executor!r}")
         if self.config.workers < 1:
             raise ValueError("workers must be >= 1")
         self.clock = clock if clock is not None else time.monotonic
@@ -188,7 +183,6 @@ class DebugService:
             max_s=self.config.backoff_max_s,
         )
         self._slots: asyncio.Queue[_Slot] | None = None
-        self._thread_pool: ThreadPoolExecutor | None = None
         self._queued = 0
         self._active = 0
         self._draining = False
@@ -205,26 +199,8 @@ class DebugService:
         self._slots = asyncio.Queue()
         self._idle = asyncio.Event()
         self._idle.set()
-        if self.config.executor == "thread":
-            self._thread_pool = ThreadPoolExecutor(
-                max_workers=self.config.workers,
-                thread_name_prefix="serve-worker",
-            )
-            if self.config.testdb is not None:
-                worker_mod.set_answer_service(
-                    worker_mod.build_answer_service(
-                        self.config.testdb, self.config.spec_texts
-                    )
-                )
-            for index in range(self.config.workers):
-                self._slots.put_nowait(
-                    _Slot(index=index, executor=self._thread_pool, owned=False)
-                )
-        else:
-            for index in range(self.config.workers):
-                self._slots.put_nowait(
-                    _Slot(index=index, executor=self._make_process(), owned=True)
-                )
+        for _ in range(self.config.workers):
+            self._slots.put_nowait(_Slot(executor=self._make_process()))
         self._started = True
         return self
 
@@ -239,16 +215,10 @@ class DebugService:
 
     def _rebuild_slot(self, slot: _Slot, kill: bool = False) -> None:
         """Replace a broken/stuck slot executor with a fresh process."""
-        if not slot.owned:
-            return  # thread slots have nothing to rebuild
         if kill:
-            processes = getattr(slot.executor, "_processes", None) or {}
-            for process in list(processes.values()):
-                try:
-                    process.terminate()
-                except Exception:
-                    pass
-        slot.executor.shutdown(wait=False, cancel_futures=True)
+            kill_executor(slot.executor)
+        else:
+            slot.executor.shutdown(wait=False, cancel_futures=True)
         slot.executor = self._make_process()
 
     async def drain(self, timeout_s: float | None = None) -> dict:
@@ -267,13 +237,11 @@ class DebugService:
     async def close(self) -> None:
         """Drain, then release the worker slots."""
         await self.drain()
-        if self._thread_pool is not None:
-            self._thread_pool.shutdown(wait=False, cancel_futures=True)
         if self._slots is not None:
             while not self._slots.empty():
-                slot = self._slots.get_nowait()
-                if slot.owned:
-                    slot.executor.shutdown(wait=False, cancel_futures=True)
+                self._slots.get_nowait().executor.shutdown(
+                    wait=False, cancel_futures=True
+                )
         self._started = False
 
     @property

@@ -1,9 +1,9 @@
 """Worker-side job execution for the debug service.
 
-Runs inside a service worker — a slot-owned child process (the default,
-crash-isolated) or a thread of the parent (``executor="thread"``). The
-contract with :mod:`repro.serve.service` mirrors the one
-:mod:`repro.resilience.pool` workers honour:
+Runs inside a service worker: the child process a service slot owns,
+so a crash costs that slot and nothing else. The contract with
+:mod:`repro.serve.service` mirrors the one :mod:`repro.resilience.pool`
+workers honour:
 
 * **user-level failures return, infra failures raise.** A program
   error, a blown budget, or a degraded salvage are *results* — the job
@@ -16,9 +16,7 @@ contract with :mod:`repro.serve.service` mirrors the one
   point, so a plan can kill attempt 0 and let the retry run clean.
 
 Per-process state (the shared test-report store handle, parsed specs)
-is built once by :func:`init_worker`; thread mode installs a shared
-:class:`~repro.store.BatchAnswerService` directly via
-:func:`set_answer_service` because the parent already owns one.
+is built once by :func:`init_worker`.
 """
 
 from __future__ import annotations
@@ -29,37 +27,28 @@ from typing import Any, Mapping, Sequence
 _ANSWER_SERVICE = None
 
 
-def set_answer_service(service) -> None:
-    """Install a (thread-safe) shared answer service — thread mode."""
-    global _ANSWER_SERVICE
-    _ANSWER_SERVICE = service
-
-
 def init_worker(
     testdb: str | None,
     spec_texts: Sequence[str] = (),
     fault_plan=None,
 ) -> None:
     """Process-pool initializer: install the parent's fault plan and
-    open this worker's view of the shared store. Segments are immutable
-    once published, so read-only handles in many processes are safe."""
+    open this worker's :class:`~repro.store.BatchAnswerService` over the
+    shared store, with the given T-GEN specs and the registered
+    automatic frame selectors. Segments are immutable once published,
+    so read-only handles in many processes are safe."""
+    global _ANSWER_SERVICE
     from repro.resilience import faults
 
     faults.install(fault_plan)
-    if testdb is not None:
-        set_answer_service(build_answer_service(testdb, spec_texts))
-
-
-def build_answer_service(testdb: str, spec_texts: Sequence[str] = ()):
-    """A :class:`~repro.store.BatchAnswerService` over the store at
-    ``testdb`` with the given T-GEN specs and the registered automatic
-    frame selectors."""
+    if testdb is None:
+        return
     import repro.workloads.arrsum_spec  # noqa: F401  (registers its selector)
     from repro.store import BatchAnswerService, ShardedReportStore
     from repro.tgen import FRAME_SELECTORS
     from repro.tgen.spec_parser import parse_spec
 
-    return BatchAnswerService(
+    _ANSWER_SERVICE = BatchAnswerService(
         ShardedReportStore(testdb),
         specs=[parse_spec(text) for text in spec_texts],
         selectors=dict(FRAME_SELECTORS),

@@ -384,16 +384,15 @@ def evaluate_mutants(
             )
             outcomes = []
             for task, mutant in zip(task_results, mutants):
-                if task is not None and task.status == "ok":
+                if task.status == "ok":
                     outcome = task.value
                     outcome.retries = task.retries
                 else:
-                    status = task.status if task is not None else "infra_error"
                     outcome = LocalizationOutcome(
                         mutant=mutant,
-                        status=status,
-                        error=task.error if task is not None else None,
-                        retries=task.retries if task is not None else 0,
+                        status=task.status,
+                        error=task.error,
+                        retries=task.retries,
                     )
                 outcomes.append(outcome)
         else:

@@ -266,6 +266,13 @@ def _exit_on_three(payload, attempt):
     return payload * 2
 
 
+def _exit_on_three_else_linger(payload, attempt):
+    if payload == 3:
+        os._exit(23)
+    time.sleep(0.2)  # still running when the crasher's worker dies
+    return payload * 2
+
+
 def _hang_on_three(payload, attempt):
     if payload == 3:
         time.sleep(120)
@@ -303,6 +310,21 @@ class TestRunIsolated:
         for payload in (1, 2, 4):
             assert by_payload[payload].status == "ok"
             assert by_payload[payload].value == payload * 2
+
+    @pytest.mark.parametrize("workers", [2, 4])
+    def test_crash_charges_only_the_crasher(self, workers):
+        # no retries to spare: an innocent charged for the crash would
+        # end infra_error instead of ok
+        results = run_isolated(
+            _exit_on_three_else_linger, [1, 2, 3, 4, 5],
+            workers=workers, retries=0,
+        )
+        by_payload = dict(zip([1, 2, 3, 4, 5], results))
+        assert by_payload[3].status == "infra_error"
+        for payload in (1, 2, 4, 5):
+            assert by_payload[payload].status == "ok"
+            assert by_payload[payload].value == payload * 2
+            assert by_payload[payload].retries == 0
 
     def test_hanging_task_times_out_others_complete(self):
         results = run_isolated(

@@ -29,9 +29,9 @@ def _clean():
     obs.reset()
 
 
-def thread_service(**overrides) -> DebugService:
+def make_service(**overrides) -> DebugService:
     return DebugService(ServeConfig(
-        workers=overrides.pop("workers", 2), executor="thread", **overrides
+        workers=overrides.pop("workers", 2), **overrides
     ))
 
 
@@ -39,7 +39,7 @@ class TestStdio:
     def run_lines(self, lines, **overrides):
         stdin = io.StringIO("".join(json.dumps(l) + "\n" for l in lines))
         stdout = io.StringIO()
-        service = thread_service(**overrides)
+        service = make_service(**overrides)
         summary = asyncio.run(serve_stdio(service, stdin=stdin, stdout=stdout))
         responses = [
             json.loads(line) for line in stdout.getvalue().splitlines()
@@ -63,7 +63,7 @@ class TestStdio:
         stdin = io.StringIO('{"op": "run"\n')
         stdout = io.StringIO()
         summary = asyncio.run(
-            serve_stdio(thread_service(), stdin=stdin, stdout=stdout)
+            serve_stdio(make_service(), stdin=stdin, stdout=stdout)
         )
         (response,) = [
             json.loads(line) for line in stdout.getvalue().splitlines()
@@ -90,7 +90,7 @@ class TestSocketServer:
         socket_path = str(tmp_path / "serve.sock")
 
         async def main():
-            service = thread_service()
+            service = make_service()
             server = ServeServer(service, socket_path=socket_path)
             await server.start()
             runner = asyncio.ensure_future(
@@ -121,7 +121,7 @@ class TestSocketServer:
 
         def serve():
             async def main():
-                server = ServeServer(thread_service(), socket_path=socket_path)
+                server = ServeServer(make_service(), socket_path=socket_path)
                 await server.start()
                 ready.set()
                 await server.run_until_drained(install_signals=False)
@@ -151,7 +151,7 @@ class TestSocketServer:
 
         def serve():
             async def main():
-                server = ServeServer(thread_service(), socket_path=socket_path)
+                server = ServeServer(make_service(), socket_path=socket_path)
                 await server.start()
                 ready.set()
                 await server.run_until_drained(install_signals=False)

@@ -1,20 +1,23 @@
 """The multi-session debug service engine (repro.serve.service).
 
-These tests run the service in ``executor="thread"`` mode: same
-semantics as the process mode minus real crash isolation, which keeps
-them fast. Process-mode crash handling is covered by
-``test_serve_process.py``.
+Every test runs real slot-owned worker processes; the crash-isolation
+tests kill them with ``exit``-mode ``serve.worker`` faults or a job body
+that outlives its deadline.
 """
 
 import asyncio
+import multiprocessing
+import time
 
 import pytest
 
 from repro import obs
 from repro.compile import resolve_backend
+from repro.obs import spans
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec
 from repro.serve import DebugService, ServeConfig, TERMINAL_STATUSES
+from repro.serve import worker as worker_mod
 from repro.workloads import FIGURE4_FIXED_SOURCE, FIGURE4_SOURCE
 
 #: ~0.3s of execution work — long enough to hold a worker slot. The
@@ -29,6 +32,28 @@ begin
   while i < {_SLOW_ITERATIONS} do
     i := i + 1;
   writeln(i)
+end.
+"""
+
+#: many short activations per trace: concurrent trace jobs interleave
+#: their spans (``trace.execute``, ``compile.routine``) if they share a
+#: process
+CHURN_SOURCE = """\
+program churn;
+var i, acc : integer;
+function sq(x : integer) : integer;
+begin
+  sq := x * x
+end;
+procedure bump(var a : integer; x : integer);
+begin
+  a := a + sq(x)
+end;
+begin
+  acc := 0;
+  for i := 1 to 400 do
+    bump(acc, i);
+  writeln(acc)
 end.
 """
 
@@ -56,10 +81,9 @@ def run(coro):
     return asyncio.run(coro)
 
 
-def thread_service(**overrides) -> DebugService:
+def make_service(**overrides) -> DebugService:
     config = ServeConfig(
         workers=overrides.pop("workers", 2),
-        executor="thread",
         backoff_base_s=0.01,
         backoff_max_s=0.05,
         **overrides,
@@ -77,7 +101,7 @@ async def serve_one(service: DebugService, request: dict):
 
 class TestHappyPath:
     def test_run_job_completes(self):
-        service = thread_service()
+        service = make_service()
         response = run(serve_one(
             service, {"id": "r", "op": "run", "source": FIGURE4_SOURCE}
         ))
@@ -89,7 +113,7 @@ class TestHappyPath:
 
     def test_trace_job_reports_tree_shape(self):
         response = run(serve_one(
-            thread_service(),
+            make_service(),
             {"id": "t", "op": "trace", "source": FIGURE4_SOURCE},
         ))
         assert response.status == "completed"
@@ -98,7 +122,7 @@ class TestHappyPath:
 
     def test_debug_job_localizes_the_paper_bug(self):
         response = run(serve_one(
-            thread_service(),
+            make_service(),
             {
                 "id": "d", "op": "debug", "source": FIGURE4_SOURCE,
                 "reference": FIGURE4_FIXED_SOURCE,
@@ -110,7 +134,7 @@ class TestHappyPath:
 
     def test_ping_answers_inline(self):
         async def main():
-            service = thread_service()
+            service = make_service()
             await service.start()
             response = await service.submit({"id": "p", "op": "ping"})
             await service.close()
@@ -122,7 +146,7 @@ class TestHappyPath:
 
     def test_wait_and_serve_latency_are_reported(self):
         response = run(serve_one(
-            thread_service(),
+            make_service(),
             {"id": "r", "op": "run", "source": FIGURE4_SOURCE},
         ))
         assert response.wait_s >= 0.0
@@ -131,24 +155,24 @@ class TestHappyPath:
 
 class TestFailures:
     def test_malformed_line_gets_a_terminal_failed(self):
-        service = thread_service()
+        service = make_service()
         response = run(serve_one(service, "this is not json"))
         assert response.status == "failed"
         assert response.reason == "bad_request"
         assert service.stats.failed == 1
 
     def test_unknown_op_gets_bad_request(self):
-        response = run(serve_one(thread_service(), {"id": "x", "op": "warp"}))
+        response = run(serve_one(make_service(), {"id": "x", "op": "warp"}))
         assert response.status == "failed"
         assert response.reason == "bad_request"
 
     def test_server_side_control_op_is_refused_by_the_engine(self):
-        response = run(serve_one(thread_service(), {"id": "x", "op": "drain"}))
+        response = run(serve_one(make_service(), {"id": "x", "op": "drain"}))
         assert response.status == "failed"
         assert response.reason == "bad_request"
 
     def test_program_error_is_terminal_and_never_retried(self):
-        service = thread_service()
+        service = make_service()
         response = run(serve_one(
             service,
             {"id": "x", "op": "run",
@@ -161,7 +185,7 @@ class TestFailures:
 
     def test_accept_fault_is_a_terminal_response(self):
         faults.install(FaultPlan([FaultSpec(point="serve.accept")]))
-        service = thread_service()
+        service = make_service()
         response = run(serve_one(
             service, {"id": "a", "op": "run", "source": FIGURE4_SOURCE}
         ))
@@ -176,7 +200,7 @@ class TestInvalidStrategy:
     tenant's breaker stays closed."""
 
     def test_protocol_rejects_it_as_bad_request(self):
-        service = thread_service(retries=2)
+        service = make_service(retries=2)
         response = run(serve_one(
             service,
             {
@@ -222,7 +246,7 @@ class TestInvalidStrategy:
                     raise
 
         monkeypatch.setattr(protocol.JobRequest, "validate", lax)
-        service = thread_service(retries=2)
+        service = make_service(retries=2)
         response = run(serve_one(
             service,
             {
@@ -240,7 +264,7 @@ class TestInvalidStrategy:
 
     def test_dq_optimal_debug_job_completes(self):
         response = run(serve_one(
-            thread_service(),
+            make_service(),
             {
                 "id": "d", "op": "debug", "source": FIGURE4_SOURCE,
                 "reference": FIGURE4_FIXED_SOURCE,
@@ -257,7 +281,7 @@ class TestRetries:
         faults.install(FaultPlan([
             FaultSpec(point="serve.worker", match="j@0"),
         ]))
-        service = thread_service(retries=2)
+        service = make_service(retries=2)
         response = run(serve_one(
             service, {"id": "j", "op": "run", "source": FIGURE4_SOURCE}
         ))
@@ -269,7 +293,7 @@ class TestRetries:
         faults.install(FaultPlan([
             FaultSpec(point="serve.worker", match="j@", times=-1),
         ]))
-        service = thread_service(retries=2)
+        service = make_service(retries=2)
         response = run(serve_one(
             service, {"id": "j", "op": "run", "source": FIGURE4_SOURCE}
         ))
@@ -284,16 +308,124 @@ class TestRetries:
                       times=-1),
         ]))
         response = run(serve_one(
-            thread_service(retries=1),
+            make_service(retries=1),
             {"id": "j", "op": "run", "source": FIGURE4_SOURCE},
         ))
         assert response.status == "failed"
         assert response.reason == "infra_error"
 
 
+class TestWorkerDeath:
+    """A worker death or a stuck worker costs one slot rebuild, never
+    the service."""
+
+    def test_worker_death_is_retried_on_a_rebuilt_slot(self):
+        # the plan ships to workers via the pool initializer; attempt 0 of
+        # job "a" hard-exits its process, the retry runs clean
+        faults.install(FaultPlan([
+            FaultSpec(point="serve.worker", match="a@0", mode="exit"),
+        ]))
+        service = make_service(retries=2)
+        response = run(serve_one(
+            service, {"id": "a", "op": "run", "source": FIGURE4_SOURCE}
+        ))
+        assert response.status == "completed"
+        assert response.result["output"] == "false\n"
+        assert response.retries == 1
+        assert service.stats.retries == 1
+        assert service.stats.terminal() == 1
+
+    def test_persistent_crasher_is_circuit_broken(self):
+        faults.install(FaultPlan([
+            FaultSpec(point="serve.worker", match="kill", mode="exit",
+                      times=-1),
+        ]))
+
+        async def main():
+            service = make_service(
+                workers=1, retries=0, breaker_threshold=1,
+                breaker_cooldown_s=60.0,
+            )
+            await service.start()
+            first = await service.submit(
+                {"id": "kill-1", "op": "run", "source": FIGURE4_SOURCE,
+                 "tenant": "crashy"}
+            )
+            # the crash opened crashy's breaker: next job is shed unserved
+            second = await service.submit(
+                {"id": "kill-2", "op": "run", "source": FIGURE4_SOURCE,
+                 "tenant": "crashy"}
+            )
+            # an innocent tenant still gets a (rebuilt) worker
+            third = await service.submit(
+                {"id": "ok", "op": "run", "source": FIGURE4_SOURCE}
+            )
+            await service.close()
+            return service, first, second, third
+
+        service, first, second, third = run(main())
+        assert first.status == "failed"
+        assert first.reason == "infra_error"
+        assert second.status == "shed"
+        assert second.reason == "circuit_open"
+        assert third.status == "completed"
+        assert service.stats.breaker_opens == 1
+        assert service.stats.terminal() == 3
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the patched job body reaches the worker by fork",
+    )
+    def test_stuck_worker_is_killed_and_its_slot_rebuilt(self, monkeypatch):
+        def hang(payload):  # ignores the job's budget, unlike real jobs
+            time.sleep(60)
+
+        monkeypatch.setattr(worker_mod, "_run", hang)
+        service = make_service(workers=1, stuck_grace_s=0.2)
+        executors = []
+        make_process = service._make_process
+
+        def recording_make_process():
+            executors.append(make_process())
+            return executors[-1]
+
+        service._make_process = recording_make_process
+
+        async def main():
+            await service.start()
+            stuck = asyncio.ensure_future(service.submit(
+                {"id": "stuck", "op": "run", "source": FIGURE4_SOURCE,
+                 "deadline_s": 0.3}
+            ))
+            await asyncio.sleep(0.15)  # the worker is forked and hanging
+            old_processes = list(executors[0]._processes.values())
+            stuck_response = await stuck
+            # the rebuilt slot forks its process on its next job, after
+            # the patch is undone
+            monkeypatch.undo()
+            after = await service.submit(
+                {"id": "after", "op": "run", "source": FIGURE4_SOURCE}
+            )
+            await service.close()
+            return old_processes, stuck_response, after
+
+        old_processes, stuck_response, after = run(main())
+        assert stuck_response.status == "timed_out"
+        assert stuck_response.reason == "stuck_worker"
+        assert len(executors) == 2  # the slot got a fresh executor
+        assert len(old_processes) == 1
+        deadline = time.monotonic() + 5.0
+        while old_processes[0].is_alive() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not old_processes[0].is_alive()
+        assert after.status == "completed"
+        assert after.result["output"] == "false\n"
+        assert service.stats.terminal() == 2
+
+
 class TestDeadlines:
     def test_blown_budget_times_out_with_reason_budget(self):
-        service = thread_service(step_limit=50_000_000)
+        service = make_service(step_limit=50_000_000)
         response = run(serve_one(
             service,
             {"id": "s", "op": "run", "source": SPIN_SOURCE,
@@ -305,7 +437,7 @@ class TestDeadlines:
 
     def test_degrade_true_salvages_a_partial_trace(self):
         response = run(serve_one(
-            thread_service(step_limit=50_000_000),
+            make_service(step_limit=50_000_000),
             {"id": "s", "op": "trace", "source": SPIN_SOURCE,
              "deadline_s": 0.2, "degrade": True},
         ))
@@ -315,7 +447,7 @@ class TestDeadlines:
 
     def test_queued_job_times_out_before_burning_a_worker(self):
         async def main():
-            service = thread_service(workers=1, step_limit=50_000_000)
+            service = make_service(workers=1, step_limit=50_000_000)
             await service.start()
             slow = asyncio.ensure_future(service.submit(
                 {"id": "slow", "op": "run", "source": SLOW_SOURCE}
@@ -338,7 +470,7 @@ class TestDeadlines:
 
     def test_queue_timeout_config_bounds_the_wait(self):
         async def main():
-            service = thread_service(
+            service = make_service(
                 workers=1, queue_timeout_s=0.05,
                 default_deadline_s=None, step_limit=50_000_000,
             )
@@ -359,7 +491,7 @@ class TestDeadlines:
 
 class TestShedding:
     def test_zero_queue_sheds_everything_as_overloaded(self):
-        service = thread_service(max_queue=0)
+        service = make_service(max_queue=0)
         response = run(serve_one(
             service, {"id": "x", "op": "run", "source": FIGURE4_SOURCE}
         ))
@@ -369,7 +501,7 @@ class TestShedding:
 
     def test_rate_limited_tenant_sheds(self):
         async def main():
-            service = thread_service(rate=0.001, burst=1.0)
+            service = make_service(rate=0.001, burst=1.0)
             await service.start()
             first = await service.submit(
                 {"id": "1", "op": "ping"}  # control op: no token taken
@@ -397,7 +529,7 @@ class TestShedding:
 
     def test_open_breaker_sheds_circuit_open(self):
         async def main():
-            service = thread_service()
+            service = make_service()
             await service.start()
             breaker = service.admission.breaker("crashy")
             for _ in range(service.config.breaker_threshold):
@@ -418,7 +550,7 @@ class TestShedding:
 
     def test_draining_service_sheds_new_jobs(self):
         async def main():
-            service = thread_service()
+            service = make_service()
             await service.start()
             await service.drain()
             response = await service.submit(
@@ -435,7 +567,7 @@ class TestShedding:
 class TestDrain:
     def test_drain_waits_for_in_flight_jobs(self):
         async def main():
-            service = thread_service(workers=1, step_limit=50_000_000)
+            service = make_service(workers=1, step_limit=50_000_000)
             await service.start()
             slow = asyncio.ensure_future(service.submit(
                 {"id": "slow", "op": "run", "source": SLOW_SOURCE}
@@ -454,7 +586,7 @@ class TestDrain:
 
     def test_drain_on_idle_service_returns_immediately(self):
         async def main():
-            service = thread_service()
+            service = make_service()
             await service.start()
             summary = await asyncio.wait_for(service.drain(), 1.0)
             await service.close()
@@ -474,7 +606,7 @@ class TestInvariant:
         ]))
 
         async def main():
-            service = thread_service(workers=4, retries=2, max_queue=64)
+            service = make_service(workers=4, retries=2, max_queue=64)
             await service.start()
             jobs = [
                 {"id": str(n), "op": "run", "source": FIGURE4_SOURCE,
@@ -495,9 +627,44 @@ class TestInvariant:
         assert service.stats.terminal() == 32
         assert service.stats.retries > 0  # the faults really fired
 
+    def test_concurrent_jobs_leave_no_open_span_in_the_parent(self):
+        """Jobs run in slot processes, so the parent's process-global
+        span stack is never touched by them: it is empty after close()
+        and every result matches the same job run alone."""
+        kinds = {
+            "trace": {"op": "trace", "source": CHURN_SOURCE,
+                      "degrade": False},
+            "debug": {"op": "debug", "source": FIGURE4_SOURCE,
+                      "reference": FIGURE4_FIXED_SOURCE, "degrade": False},
+        }
+        alone = {
+            op: worker_mod.execute_job(job)["ok"] for op, job in kinds.items()
+        }
+        jobs = [
+            {"id": str(n), **kinds["trace" if n % 2 else "debug"]}
+            for n in range(16)
+        ]
+        obs.reset()
+        obs.enable()
+
+        async def main():
+            service = make_service(workers=4)
+            await service.start()
+            responses = await asyncio.gather(
+                *(service.submit(job) for job in jobs)
+            )
+            await service.close()
+            return responses
+
+        responses = run(main())
+        assert spans.current_depth() == 0
+        assert [r.status for r in responses] == ["completed"] * 16
+        for job, response in zip(jobs, responses):
+            assert response.result == alone[job["op"]]
+
     def test_cancelled_jobs_are_accounted_and_drain_still_resolves(self):
         async def main():
-            service = thread_service(workers=1, step_limit=50_000_000)
+            service = make_service(workers=1, step_limit=50_000_000)
             await service.start()
             victim = asyncio.ensure_future(service.submit(
                 {"id": "v", "op": "run", "source": SLOW_SOURCE}
@@ -530,7 +697,7 @@ class TestObservability:
         ]))
 
         async def main():
-            service = thread_service(retries=2, max_queue=0)
+            service = make_service(retries=2, max_queue=0)
             await service.start()
             # max_queue=0: this one sheds
             await service.submit(
@@ -559,7 +726,7 @@ class TestObservability:
         obs.enable()
 
         async def main():
-            service = thread_service()
+            service = make_service()
             await service.start()
             await service.submit(
                 {"id": "e", "op": "run", "source": FIGURE4_SOURCE}
@@ -573,7 +740,7 @@ class TestObservability:
         assert events[0]["status"] == "completed"
 
     def test_stats_accounting_works_with_obs_disabled(self):
-        service = thread_service()
+        service = make_service()
         response = run(serve_one(
             service, {"id": "q", "op": "run", "source": FIGURE4_SOURCE}
         ))

@@ -1,8 +1,7 @@
 """Concurrent use of one BatchAnswerService from asyncio tasks.
 
-The debug service multiplexes many sessions over one shared store
-(thread-mode workers call the service from executor threads driven by
-an asyncio loop). These tests pin down what that relies on: batches
+Many sessions share one store through one service. These tests pin
+down what concurrent callers on one asyncio loop rely on: batches
 from concurrent tasks don't corrupt each other's outcomes, per-session
 lookups stay isolated, and the counters still add up exactly.
 """
