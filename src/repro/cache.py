@@ -21,7 +21,12 @@ the mutation generator, keyed like the ``analysis`` cache by the digest
 of the mutant text they build. An ``analysis`` miss on such a text
 builds it by patching the analysis of the printed host, sharing every
 node and side table it does not change. Recipes are in memory only and
-bounded; one that is evicted or cleared only costs a parse.
+bounded; one that is evicted or cleared only costs a parse. A
+``transform`` miss on such a text likewise builds the transform by
+patching the cached transform of the printed host
+(:class:`repro.transform.pipeline.TransformPatch`), keyed by the text
+and the ``instrument`` option; without a recipe, or when the host's
+analysis was rebuilt since, it runs the pass pipeline.
 
 Caches are bounded LRU (a mutation sweep over thousands of distinct
 mutant sources must not retain every analysis), can be disabled globally

@@ -7,9 +7,10 @@ specific constructs and maintain original-to-transformed mappings
 without identity hacks.
 
 Ids are *not* unique across programs: a mutant's analysis is a patch of
-its host's (:class:`~repro.pascal.semantics.AnalysisPatch`), whose
-copied nodes keep their base's ids and whose other nodes are the base's
-own. Every id-keyed consumer works within one program: the side tables
+its host's (:class:`~repro.pascal.semantics.AnalysisPatch`), and its
+transform a patch of its host's transform
+(:class:`~repro.transform.pipeline.TransformPatch`), whose copied nodes
+keep their base's ids and whose other nodes are the base's own. Every id-keyed consumer works within one program: the side tables
 of an analysis, the tracer and the compiler (statement and loop ids of
 the program they run; the compile cache is keyed by the analysis
 object), a transformation's ``SourceMap`` and the transparency layer

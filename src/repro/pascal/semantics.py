@@ -786,6 +786,14 @@ class AnalysisPatch:
     host: ast.Stmt
     fault: ast.Expr
 
+    def locations(self) -> dict[int, SourceLocation]:
+        """Where a parse of the variant's text locates each expression on
+        ``host``'s line, by node id: the one line whose layout changed."""
+        line, columns = self.printed.head_columns(self.host, self.path[0], self.fault)
+        return {
+            node_id: SourceLocation(line, column) for node_id, column in columns.items()
+        }
+
     def build(self) -> AnalyzedProgram:
         """A fresh analysis of the variant's text, up to node ids.
 
@@ -793,12 +801,10 @@ class AnalysisPatch:
         ancestors are copied, each keeping its node id; every other node
         and every side table is shared with ``base``, which is never
         written. The copied expressions take their columns from the
-        re-rendered line, the one line whose layout changed. The routine
-        infos whose declaration was copied are rebuilt, and with them
-        the call sites on the copied line.
+        re-rendered line (:meth:`locations`).
         """
         original, host = self.path[0], self.host
-        line, columns = self.printed.head_columns(host, original, self.fault)
+        locations = self.locations()
         copies: dict[int, ast.Node] = {}  # id(base node) -> its copy
 
         def relocated_expressions(node: ast.Node) -> dict:
@@ -815,7 +821,7 @@ class AnalysisPatch:
             node = self.fault if expr is original else expr
             copy = copies[id(expr)] = replace(
                 node,
-                location=SourceLocation(line, columns[expr.node_id]),
+                location=locations[expr.node_id],
                 **relocated_expressions(node),
             )
             return copy
@@ -823,34 +829,54 @@ class AnalysisPatch:
         link = self.path
         while link[0] is not host:
             link = link[1]
-        child, link = link
-        copy = copies[id(host)] = replace(host, **relocated_expressions(host))
+        return patched_analysis(self.base, [(link, relocated_expressions(host))], copies)
+
+
+def patched_analysis(
+    base: AnalyzedProgram, edits: list[tuple[tuple, dict]], copies: dict[int, ast.Node]
+) -> AnalyzedProgram:
+    """``base`` with each ``(path, changes)`` of ``edits`` applied, built
+    by copying only what changes.
+
+    ``path`` links a node of ``base`` to the root, ``(node, (parent,
+    (..., (program, None))))``; the node is copied with the field
+    ``changes``, then each of its ancestors with the copy of its child.
+    Paths may share ancestors and one node may be another's ancestor:
+    each copy starts from the latest copy of its node. ``copies``
+    (id of a base node -> its copy) collects every copy, and may
+    already hold copies of nodes below the edited ones. Every copy
+    keeps its node id, so each side table of ``base`` is shared; the
+    routine infos whose declaration was copied are rebuilt, and with
+    them their call sites.
+    """
+    for (node, link), changes in edits:
+        held = copies.get(id(node), node)  # what the parent holds now
+        copy = copies[id(node)] = replace(held, **changes)
         while link is not None:
             parent, link = link
-            copy = copies[id(parent)] = _with_child(parent, child, copy)
-            child = parent
-
-        base = self.base
-        routines: dict[Symbol, RoutineInfo] = {}
-        for symbol, info in base.routines.items():
-            decl = copies.get(id(info.decl))
-            if decl is not None:
-                info = replace(
-                    info,
-                    decl=decl,
-                    block=copies[id(info.block)],
-                    call_sites=[
-                        (copies.get(id(call), call), target)
-                        for call, target in info.call_sites
-                    ],
-                )
-            routines[symbol] = info
-        return replace(
-            base,
-            program=copies[id(base.program)],
-            main=routines[base.main.symbol],
-            routines=routines,
-        )
+            holder = copies.get(id(parent), parent)
+            copy = copies[id(parent)] = _with_child(holder, held, copy)
+            held = holder
+    routines: dict[Symbol, RoutineInfo] = {}
+    for symbol, info in base.routines.items():
+        decl = copies.get(id(info.decl))
+        if decl is not None:
+            info = replace(
+                info,
+                decl=decl,
+                block=copies[id(info.block)],
+                call_sites=[
+                    (copies.get(id(call), call), target)
+                    for call, target in info.call_sites
+                ],
+            )
+        routines[symbol] = info
+    return replace(
+        base,
+        program=copies[id(base.program)],
+        main=routines[base.main.symbol],
+        routines=routines,
+    )
 
 
 def _with_child(parent: ast.Node, child: ast.Node, copy: ast.Node) -> ast.Node:
@@ -878,6 +904,12 @@ def register_patch(source: str, patch: AnalysisPatch) -> None:
     """Have :func:`analyze_source` build the analysis of ``source`` with
     ``patch`` instead of a parse, whenever it is not cached."""
     _PATCHES.put(_cache.source_key(source), patch)
+
+
+def registered_patch(source: str) -> AnalysisPatch | None:
+    """The recipe registered for ``source`` (see :func:`register_patch`),
+    or None."""
+    return _PATCHES.peek(_cache.source_key(source))
 
 
 def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:

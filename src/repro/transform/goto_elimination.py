@@ -33,7 +33,7 @@ construct the paper's method excludes (``*_into_block`` and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
@@ -650,14 +650,33 @@ def _expr_is_pure_total(expr: ast.Expr) -> bool:
     """True when evaluating ``expr`` cannot have effects or fail: no
     function calls, no array indexing, and division only by nonzero
     literals. Such an expression may be dropped outright."""
-    for node in expr.walk():
-        if isinstance(node, (ast.FuncCall, ast.IndexedRef)):
-            return False
-        if isinstance(node, ast.BinaryOp) and node.op in ("div", "mod"):
-            divisor = node.right
-            if not (isinstance(divisor, ast.IntLiteral) and divisor.value != 0):
-                return False
+    return all(_node_is_pure_total(node) for node in expr.walk())
+
+
+def _node_is_pure_total(node: ast.Node) -> bool:
+    if isinstance(node, (ast.FuncCall, ast.IndexedRef)):
+        return False
+    if isinstance(node, ast.BinaryOp) and node.op in ("div", "mod"):
+        divisor = node.right
+        return isinstance(divisor, ast.IntLiteral) and divisor.value != 0
     return True
+
+
+def changes_purity(path: tuple, fault: ast.Expr) -> bool:
+    """Could putting ``fault`` in place of the node ``path`` starts at
+    (``(node, (parent, ...))``) flip :func:`_expr_is_pure_total` for an
+    expression around it? This is the one pass decision that reads an
+    operator or a literal: a ``div`` turned into another operator, or a
+    divisor literal that crosses 0."""
+    node, (parent, _) = path
+    if _node_is_pure_total(node) != _node_is_pure_total(fault):
+        return True
+    return (
+        isinstance(parent, ast.BinaryOp)
+        and parent.right is node
+        and _node_is_pure_total(parent)
+        != _node_is_pure_total(replace(parent, right=fault))
+    )
 
 
 class _StructuredGotoRewriter(Rewriter):

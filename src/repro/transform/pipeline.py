@@ -17,11 +17,23 @@ Every pass re-analyzes its output and composes its source map with the
 accumulated one, so the pipeline result can map any transformed
 construct back to the exact original construct the user wrote
 (transparent debugging, paper §6.1).
+
+A mutant does not go through the passes. Its text differs from its
+printed host's in one operator or one literal, and
+:func:`transform_source` builds its transform as a
+:class:`TransformPatch` of the host's: the source map finds each
+*image* of the faulty node in the transformed program, each image gets
+the fault's change, and everything else is shared. One pass decision
+reads operators and literals (whether ``if c then goto L; L:`` can be
+dropped, which needs ``c`` to be free of failing divisions); a fault
+that could flip it, and a mutant whose host analysis is not its
+recipe's base, take the pipeline.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro import cache as _cache
 from repro import obs
@@ -29,11 +41,19 @@ from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.parser import parse_program
 from repro.pascal.pretty import print_program, print_routine
-from repro.pascal.semantics import AnalyzedProgram, analyze
+from repro.pascal.semantics import (
+    AnalysisPatch,
+    AnalyzedProgram,
+    analyze,
+    analyze_source,
+    patched_analysis,
+    registered_patch,
+)
 from repro.tracing.tracer import LoopUnitInfo
 from repro.transform.globals_to_params import convert_globals_to_params
 from repro.transform.goto_elimination import (
     break_global_gotos,
+    changes_purity,
     eliminate_loop_gotos,
     reduce_structured_gotos,
 )
@@ -69,6 +89,23 @@ class TransformedProgram:
     def original_node_id(self, transformed_id: int) -> int | None:
         """Map a transformed construct back to the user's source construct."""
         return self.source_map.original_id(transformed_id)
+
+    @cached_property
+    def images(self) -> dict[int, list[tuple]]:
+        """Original node id -> the path of each transformed expression
+        the source map traces back to it, ``(image, (parent, (...,
+        (program, None))))``. Built on first use, by the first
+        :class:`TransformPatch` of a variant of this program."""
+        to_original = self.source_map.to_original
+        index: dict[int, list[tuple]] = {}
+        stack: list[tuple] = [(self.program, None)]
+        while stack:
+            path = stack.pop()
+            node = path[0]
+            if isinstance(node, ast.Expr) and node.node_id in to_original:
+                index.setdefault(to_original[node.node_id], []).append(path)
+            stack.extend((child, path) for child in node.children())
+        return index
 
     # ------------------------------------------------------------------
     # growth metrics (paper §9: "Small procedures usually grow less than
@@ -113,28 +150,20 @@ def _line_count(text: str) -> int:
     return sum(1 for line in text.splitlines() if line.strip())
 
 
+#: rounds of the global-goto pass before the pipeline gives up (each
+#: round peels one nesting level)
+MAX_GOTO_ROUNDS = 10
+
+
 def transform_program(
-    analysis: AnalyzedProgram,
-    instrument: bool = True,
-    with_loop_units: bool = True,
-    max_goto_rounds: int = 10,
+    analysis: AnalyzedProgram, instrument: bool = True
 ) -> TransformedProgram:
     """Run the full transformation pipeline on an analyzed program."""
     with obs.span("transform.pipeline", program=analysis.program.name):
-        return _transform_program(
-            analysis,
-            instrument=instrument,
-            with_loop_units=with_loop_units,
-            max_goto_rounds=max_goto_rounds,
-        )
+        return _transform_program(analysis, instrument)
 
 
-def _transform_program(
-    analysis: AnalyzedProgram,
-    instrument: bool,
-    with_loop_units: bool,
-    max_goto_rounds: int,
-) -> TransformedProgram:
+def _transform_program(analysis: AnalyzedProgram, instrument: bool) -> TransformedProgram:
     original = analysis
     warnings: list[str] = []
     accumulated = SourceMap.identity(analysis.program)
@@ -168,7 +197,7 @@ def _transform_program(
     #    globally), so the loop-goto pass is interleaved.
     exit_params: dict[str, str] = {}
     with obs.span("transform.pass.global_gotos"):
-        for _round in range(max_goto_rounds):
+        for _round in range(MAX_GOTO_ROUNDS):
             round_result = break_global_gotos(analysis)
             warnings.extend(round_result.warnings)
             if not round_result.changed:
@@ -185,7 +214,7 @@ def _transform_program(
                 analysis = analyze(loop_round.program)
         else:
             warnings.append(
-                f"global gotos remained after {max_goto_rounds} rounds"
+                f"global gotos remained after {MAX_GOTO_ROUNDS} rounds"
             )
 
     # 4. globals to parameters
@@ -199,9 +228,7 @@ def _transform_program(
 
     # 5. loop units on the final program
     with obs.span("transform.pass.loop_units"):
-        loop_units = (
-            compute_loop_units(analysis, side_effects) if with_loop_units else {}
-        )
+        loop_units = compute_loop_units(analysis, side_effects)
 
     # 6. trace instrumentation (display artifact; see module docstring)
     instrumented_program: ast.Program | None = None
@@ -237,6 +264,82 @@ def _transform_program(
     )
 
 
+@dataclass(frozen=True, eq=False)
+class TransformPatch:
+    """The transform of a program that differs from its host in one
+    expression, built by :meth:`build` from the host's transform
+    (``base``) without running the pass pipeline.
+
+    ``recipe`` is the :class:`~repro.pascal.semantics.AnalysisPatch`
+    that builds the variant's analysis from ``base.original_analysis``.
+    The variant's transform is ``base`` with the fault's one-field
+    change (an operator or a literal) made to each *image* of the faulty
+    node, a transformed expression the source map traces back to it.
+    """
+
+    base: TransformedProgram
+    recipe: AnalysisPatch
+
+    def full_path_reason(self, original: AnalyzedProgram) -> str | None:
+        """Why ``original``, the variant's analysis, must go through the
+        pass pipeline instead; None when :meth:`build` is exact."""
+        recipe = self.recipe
+        if self.base.original_analysis is not recipe.base:
+            return "the host's transform is not of the recipe's base"
+        if original.expr_type is not recipe.base.expr_type:
+            return "the variant's analysis was not built by the recipe"
+        if changes_purity(recipe.path, recipe.fault):
+            return "the fault can flip a pass decision"
+        return None
+
+    def build(self, original: AnalyzedProgram) -> TransformedProgram:
+        """The variant's transform, equal to a run of the pass pipeline
+        on ``original`` up to node ids (check :meth:`full_path_reason`
+        first).
+
+        Each image of the faulty node gets the fault's change and every
+        image of an expression on the re-rendered line its new location;
+        each keeps its node id. Only they and their ancestors are
+        copied: every other node, the source map, the side effects, the
+        loop units and the pass reports are shared with ``base``, which
+        is never written. ``SideEffects.analysis`` and the routine infos
+        of copied routines are rebuilt, and the instrumented program is
+        built again from the patched analysis.
+        """
+        base, recipe = self.base, self.recipe
+        node, fault = recipe.path[0], recipe.fault
+        changes = {
+            name: getattr(fault, name)
+            for name in ast.child_fields(type(fault))
+            if getattr(fault, name) is not getattr(node, name)
+        }
+        edits: list[tuple[tuple, dict]] = []
+        for node_id, location in recipe.locations().items():
+            for path in base.images.get(node_id, ()):
+                edit = dict(changes) if node_id == node.node_id else {}
+                if path[0].location != location:
+                    edit["location"] = location
+                if edit:
+                    edits.append((path, edit))
+        if not edits:  # the fault sat in code a pass deleted
+            return replace(base, original_analysis=original)
+        analysis = patched_analysis(base.analysis, edits, {})
+        side_effects = replace(base.side_effects, analysis=analysis)
+        instrumented_program = instrumented_map = None
+        if base.instrumented_program is not None:
+            instrumented = instrument_program(analysis, side_effects, base.loop_units)
+            instrumented_program = instrumented.program
+            instrumented_map = instrumented.source_map.compose(base.source_map)
+        return replace(
+            base,
+            original_analysis=original,
+            analysis=analysis,
+            side_effects=side_effects,
+            instrumented_program=instrumented_program,
+            instrumented_source_map=instrumented_map,
+        )
+
+
 #: content-addressed cache for :func:`transform_source` (see repro.cache).
 #: The whole pipeline (goto rounds, globals→params, loop units,
 #: instrumentation, each with a re-analysis) is by far the most
@@ -245,20 +348,35 @@ def _transform_program(
 _TRANSFORM_CACHE = _cache.register("transform")
 
 
-def transform_source(source: str, cached: bool = True, **kwargs) -> TransformedProgram:
+def transform_source(
+    source: str, cached: bool = True, instrument: bool = True
+) -> TransformedProgram:
     """Parse, analyze, and transform Mini-Pascal source text.
 
-    Results are cached keyed on the source hash plus the pipeline
-    options; identical text returns the identical
-    :class:`TransformedProgram` (safe: the pipeline output is never
-    mutated — tracing and debugging state lives in per-run objects).
-    ``cached=False`` forces a fresh run.
+    Results are cached keyed on the source hash plus ``instrument``;
+    identical text returns the identical :class:`TransformedProgram`
+    (safe: the pipeline output is never mutated — tracing and debugging
+    state lives in per-run objects). A text with a registered
+    :class:`~repro.pascal.semantics.AnalysisPatch` (a mutant) is
+    transformed as a :class:`TransformPatch` of its host's transform,
+    unless :meth:`TransformPatch.full_path_reason` says otherwise.
+    ``cached=False`` forces a parse and a run of the pass pipeline: the
+    reference the patched transforms are tested against.
     """
-    from repro.pascal.semantics import analyze_source
-
     if not cached:
-        return transform_program(analyze(parse_program(source)), **kwargs)
-    key = _cache.source_key(source, tuple(sorted(kwargs.items())))
-    return _TRANSFORM_CACHE.get_or_build(
-        key, lambda: transform_program(analyze_source(source), **kwargs)
-    )
+        return transform_program(analyze(parse_program(source)), instrument)
+
+    def build() -> TransformedProgram:
+        analysis = analyze_source(source)
+        recipe = registered_patch(source)
+        if recipe is not None:
+            host = transform_source(recipe.printed.text, instrument=instrument)
+            patch = TransformPatch(host, recipe)
+            if patch.full_path_reason(analysis) is None:
+                with obs.span("transform.patch"):
+                    transformed = patch.build(analysis)
+                obs.add("transform.patched")
+                return transformed
+        return transform_program(analysis, instrument)
+
+    return _TRANSFORM_CACHE.get_or_build(_cache.source_key(source, instrument), build)

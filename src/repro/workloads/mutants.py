@@ -20,9 +20,13 @@ their analyses. Each mutant registers a recipe for its own analysis
 path from the root and its statement. The first ``analyze_source`` of
 the mutant text, by ``run_source``, ``trace_source``, a sweep worker
 or anything else, builds the analysis from it without lexing, parsing
-or analysing, and the analysis cache keeps it. Nothing is built for
-mutants that are never run. Sweep workers register the recipes
-themselves, since a spawned worker does not inherit the parent's.
+or analysing, and the analysis cache keeps it. The first
+``transform_source`` of the text (``GadtSystem.from_source``) builds
+its transform the same way, as a patch of the printed host's transform,
+with no pass pipeline. Nothing is built for mutants that are never run.
+Sweep workers register the recipes themselves, since a spawned worker
+does not inherit the parent's, and build their reference oracle from
+the printed host: its transform is then the base of every mutant's.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.pascal import ast_nodes as ast
-from repro.pascal.pretty import PrintedProgram
+from repro.pascal.pretty import PrintedProgram, print_program
 from repro.pascal.semantics import AnalysisPatch, analyze_source, register_patch
 
 #: operator substitutions, one per mutant
@@ -267,6 +271,15 @@ def _debug_one_mutant_impl(
     )
 
 
+def _printed_host(source: str) -> str:
+    """``source`` as :func:`generate_mutants` prints it: the text the
+    mutants are edits of. The reference oracle is built from it, so the
+    host transform that serves the oracle is also the base of every
+    mutant's transform. (The baseline run stays on ``source``: a host
+    that fails reports its error at the user's own position.)"""
+    return print_program(analyze_source(source).program)
+
+
 #: per-worker-process state for the parallel path, built once by the pool
 #: initializer: (baseline output, reference oracle, strategy, slicing,
 #: step limit, deadline, degrade flag, backend). Each worker owns a
@@ -298,7 +311,7 @@ def _init_mutant_worker(
     generate_mutants(source)
     baseline = run_source(source, step_limit=step_limit, backend=backend).output
     reference = ReferenceOracle.from_source(
-        source, step_limit=step_limit, backend=backend
+        _printed_host(source), step_limit=step_limit, backend=backend
     )
     _WORKER_STATE = (
         baseline, reference, strategy, enable_slicing, step_limit,
@@ -403,7 +416,7 @@ def evaluate_mutants(
                 source, step_limit=step_limit, backend=backend
             ).output
             reference = ReferenceOracle.from_source(
-                source, step_limit=step_limit, backend=backend
+                _printed_host(source), step_limit=step_limit, backend=backend
             )
             outcomes = [
                 _debug_one_mutant(

@@ -24,15 +24,15 @@ import pytest
 from repro import cache
 from repro.compile import run_compiled
 from repro.pascal import PascalError, run_source
-from repro.pascal import ast_nodes as ast
 from repro.pascal.interpreter import Interpreter
 from repro.pascal.pretty import print_program
-from repro.pascal.semantics import _PATCHES, analyze_source
+from repro.pascal.semantics import _PATCHES, analyze_source, registered_patch
 from repro.tgen.corpus import generate_program
 from repro.tracing.tracer import trace_program
 from repro.workloads import paper_programs
 from repro.workloads.ledger import ledger_program
 from repro.workloads.mutants import generate_mutants
+from tests.canonical_forms import canonical, trace_form
 
 CORPUS_DIR = Path(__file__).parent / "corpus"
 
@@ -55,113 +55,11 @@ STEP_LIMIT = 20_000
 
 
 # ----------------------------------------------------------------------
-# canonical forms, node ids renumbered in pre-order
-
-
-def _symbol(symbol) -> tuple | None:
-    if symbol is None:
-        return None
-    decl = symbol.decl
-    return (
-        symbol.name,
-        symbol.kind.value,
-        symbol.qualified_name,
-        symbol.level,
-        repr(symbol.type),
-        str(symbol.type),
-        symbol.param_mode,
-        [param.qualified_name for param in symbol.params],
-        repr(symbol.result_type),
-        repr(symbol.const_value),
-        None if symbol.owner is None else symbol.owner.qualified_name,
-        None if decl is None else (type(decl).__name__, decl.location),
-    )
-
-
-def canonical(analysis) -> dict:
-    """Everything an analysis holds, with node ids replaced by the
-    node's pre-order position and symbols by their description."""
-    described: dict[int, tuple | None] = {}
-
-    def symbol(value) -> tuple | None:
-        key = id(value)
-        if key not in described:
-            described[key] = _symbol(value)
-        return described[key]
-
-    def scope(value) -> tuple:
-        return (
-            value.level,
-            symbol(value.owner),
-            sorted((name, symbol(entry)) for name, entry in value._symbols.items()),
-            sorted((name, symbol(entry)) for name, entry in value._labels.items()),
-        )
-
-    nodes = list(analysis.program.walk())
-    position = {node.node_id: index for index, node in enumerate(nodes)}
-    assert len(position) == len(nodes), "node ids repeat within one program"
-    at = {id(node): index for index, node in enumerate(nodes)}
-    tree = []
-    for node in nodes:
-        children = 0
-        scalars = []
-        for name in ast.child_fields(type(node)):
-            value = getattr(node, name)
-            if isinstance(value, ast.Node):
-                children += 1
-            elif isinstance(value, list):
-                children += len(value)
-            else:
-                scalars.append(value)
-        tree.append((type(node).__name__, node.location, children, scalars))
-
-    def by_node(table) -> dict:
-        return {position[key]: symbol(value) for key, value in table.items()}
-
-    def routine(info) -> tuple:
-        return (
-            symbol(info.symbol),
-            at[id(info.decl)],
-            at[id(info.block)],
-            scope(info.scope),
-            [symbol(param) for param in info.params],
-            [symbol(local) for local in info.locals],
-            symbol(info.result_symbol),
-            sorted(repr(symbol(entry)) for entry in info.nonlocal_reads),
-            sorted(repr(symbol(entry)) for entry in info.nonlocal_writes),
-            {name: symbol(label) for name, label in info.labels.items()},
-            [at[id(goto)] for goto in info.local_gotos],
-            [at[id(goto)] for goto in info.global_gotos],
-            [(at[id(call)], symbol(target)) for call, target in info.call_sites],
-        )
-
-    assert analysis.main is analysis.routines[analysis.main.symbol]
-    return {
-        "tree": tree,
-        "global_scope": scope(analysis.global_scope),
-        "routines": [routine(info) for info in analysis.routines.values()],
-        "ref_symbol": by_node(analysis.ref_symbol),
-        "call_target": by_node(analysis.call_target),
-        "expr_type": {
-            position[key]: (repr(value), str(value))
-            for key, value in analysis.expr_type.items()
-        },
-        "goto_target": by_node(analysis.goto_target),
-        "goto_is_global": {
-            position[key]: value for key, value in analysis.goto_is_global.items()
-        },
-        "for_symbol": by_node(analysis.for_symbol),
-        "result_assigns": sorted(position[key] for key in analysis.result_assigns),
-        "stmt_routine": by_node(analysis.stmt_routine),
-        "named_types": {
-            position[key]: value for key, value in analysis.named_types.items()
-        },
-    }
 
 
 def patched(mutant):
     """The mutant's analysis built from its registered recipe."""
-    recipe = _PATCHES.peek(cache.source_key(mutant.source))
+    recipe = registered_patch(mutant.source)
     assert recipe is not None, mutant.description
     return recipe.build()
 
@@ -190,47 +88,6 @@ def _outcome(action):
         return None, (type(exc).__name__, str(exc))
 
 
-def _trace_form(trace, analysis) -> tuple:
-    """A trace with AST node ids renumbered as :func:`canonical` does."""
-    position = {node.node_id: index for index, node in enumerate(analysis.program.walk())}
-    nodes = list(trace.tree.walk())
-    exec_position = {node.node_id: index for index, node in enumerate(nodes)}
-    tree = [
-        (
-            node.kind,
-            node.unit_name,
-            None if node.routine is None else node.routine.qualified_name,
-            position.get(node.loop_stmt_id),
-            node.iteration,
-            position.get(node.call_site_id),
-            None if node.parent is None else exec_position[node.parent.node_id],
-            node.via_goto,
-            list(node.occurrence_ids),
-            [(b.name, b.mode, b.is_global, repr(b.value)) for b in node.inputs],
-            [(b.name, b.mode, b.is_global, repr(b.value)) for b in node.outputs],
-        )
-        for node in nodes
-    ]
-    ddg = trace.dependence_graph
-    occurrences = sorted(
-        (
-            occ_id,
-            position[occ.stmt_id],
-            exec_position.get(occ.exec_node_id),
-            occ.location_line,
-            sorted(ddg.deps_of(occ_id)),
-        )
-        for occ_id, occ in ddg.occurrences.items()
-    )
-    return (
-        trace.execution.output,
-        trace.execution.steps,
-        tree,
-        occurrences,
-        ddg.edge_count(),
-    )
-
-
 def assert_runs_and_traces_match(built, fresh) -> None:
     for backend in ("interp", "compiled"):
         run_a, error_a = _outcome(lambda: _run(built, backend))
@@ -246,7 +103,7 @@ def assert_runs_and_traces_match(built, fresh) -> None:
         )
         assert error_a == error_b
         if trace_a is not None:
-            assert _trace_form(trace_a, built) == _trace_form(trace_b, fresh)
+            assert trace_form(trace_a, built) == trace_form(trace_b, fresh)
 
 
 # ----------------------------------------------------------------------

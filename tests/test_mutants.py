@@ -22,7 +22,8 @@ from repro.workloads.mutants import (
     summarize,
 )
 from repro.workloads.paper_programs import SECTION3_FIXED_SOURCE
-from tests.test_mutant_patch import canonical, patched
+from tests.canonical_forms import canonical
+from tests.test_mutant_patch import patched
 
 SMALL = """
 program t;
