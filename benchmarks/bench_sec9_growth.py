@@ -69,7 +69,7 @@ CORPUS = {
 def transform_corpus():
     factors: dict[str, float] = {}
     for name, source in CORPUS.items():
-        transformed = transform_source(source, instrument=False)
+        transformed = transform_source(source)
         for routine, factor in transformed.routine_growth_factors().items():
             factors[f"{name}.{routine}"] = factor
     return factors

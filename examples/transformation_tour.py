@@ -73,7 +73,7 @@ def show(title: str, source: str) -> None:
     print(source.strip())
     transformed = transform_source(source)
     print("\n--- transformed (+ trace actions) ---")
-    print(print_program(transformed.instrumented_program).strip())
+    print(print_program(transformed.instrumented.program).strip())
 
     original_output = run_source(source).output
     new_output = Interpreter(transformed.analysis, io=PascalIO()).run().output

@@ -25,8 +25,8 @@ bounded; one that is evicted or cleared only costs a parse. A
 ``transform`` miss on such a text likewise builds the transform by
 patching the cached transform of the printed host
 (:class:`repro.transform.pipeline.TransformPatch`), keyed by the text
-and the ``instrument`` option; without a recipe, or when the host's
-analysis was rebuilt since, it runs the pass pipeline.
+alone; without a recipe, or when the host's analysis was rebuilt since,
+it runs the pass pipeline.
 
 Caches are bounded LRU (a mutation sweep over thousands of distinct
 mutant sources must not retain every analysis), can be disabled globally
@@ -97,10 +97,9 @@ def set_enabled(enabled: bool) -> None:
     _ENABLED = enabled
 
 
-def source_key(source: str, *extra: object) -> tuple:
-    """Cache key for ``source``: content digest plus option fingerprint."""
-    digest = hashlib.sha256(source.encode("utf-8")).hexdigest()
-    return (digest, *extra)
+def source_key(source: str) -> tuple:
+    """Cache key for ``source``: its content digest."""
+    return (hashlib.sha256(source.encode("utf-8")).hexdigest(),)
 
 
 class ContentCache:

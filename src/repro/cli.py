@@ -149,9 +149,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_transform(args: argparse.Namespace) -> int:
     transformed = transform_source(_read(args.program))
     program = (
-        transformed.instrumented_program
-        if args.instrumented and transformed.instrumented_program is not None
-        else transformed.program
+        transformed.instrumented.program if args.instrumented else transformed.program
     )
     sys.stdout.write(print_program(program))
     for warning in transformed.warnings:

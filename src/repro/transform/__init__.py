@@ -18,7 +18,8 @@ procedure-level algorithmic debugging:
   units with their input/output variable sets;
 * :mod:`repro.transform.instrument` — trace-generating actions are
   inserted (``gadt_enter_unit`` etc., the paper's ``create_exectree_rec``
-  / ``save_incoming_values`` / ``save_outgoing_values``);
+  / ``save_incoming_values`` / ``save_outgoing_values``), on demand:
+  ``TransformedProgram.instrumented`` builds it when first read;
 * :mod:`repro.transform.mapping` — the original↔transformed construct
   mapping that keeps debugging transparent (paper §6.1);
 * :mod:`repro.transform.pipeline` — runs everything in order and

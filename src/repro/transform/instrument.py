@@ -25,9 +25,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.analysis.sideeffects import SideEffects, analyze_side_effects
+from repro.analysis.sideeffects import SideEffects
 from repro.pascal import ast_nodes as ast
-from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
+from repro.pascal.semantics import AnalyzedProgram
 from repro.tracing.tracer import LoopUnitInfo
 from repro.transform.mapping import SourceMap
 from repro.transform.rewriter import Rewriter
@@ -37,7 +37,6 @@ from repro.transform.rewriter import Rewriter
 class InstrumentResult:
     program: ast.Program
     source_map: SourceMap
-    instrumented_units: list[str]
 
 
 class _Instrumenter(Rewriter):
@@ -50,7 +49,6 @@ class _Instrumenter(Rewriter):
         super().__init__(analysis)
         self.side_effects = side_effects
         self.loop_units = loop_units
-        self.instrumented: list[str] = []
 
     # ------------------------------------------------------------------
 
@@ -84,7 +82,6 @@ class _Instrumenter(Rewriter):
         body = new_decl.block.body.statements
         body.insert(0, self._trace_call("gadt_enter_unit", info.name, incoming))
         body.append(self._trace_call("gadt_exit_unit", info.name, outgoing))
-        self.instrumented.append(info.name)
         return new_decl
 
     # ------------------------------------------------------------------
@@ -101,7 +98,6 @@ class _Instrumenter(Rewriter):
         )
         iter_call = self._trace_call("gadt_loop_iter", unit.name, [])
         self._prepend_to_body(new_loop, iter_call)
-        self.instrumented.append(unit.name)
         return [enter, new_loop, leave]
 
     def _prepend_to_body(self, loop: ast.Stmt, call: ast.ProcCall) -> None:
@@ -115,41 +111,22 @@ class _Instrumenter(Rewriter):
         elif isinstance(loop, ast.Repeat):
             loop.body.insert(0, call)
 
-    def rewrite_while(self, stmt: ast.While) -> ast.Stmt | list[ast.Stmt]:
+    def _rewrite_loop(self, stmt: ast.Stmt) -> ast.Stmt | list[ast.Stmt]:
         rewritten = self.default_rewrite_stmt(stmt)
         unit = self.loop_units.get(stmt.node_id)
         if unit is not None and isinstance(rewritten, ast.Stmt):
             return self._instrument_loop(rewritten, unit)
         return rewritten
 
-    def rewrite_repeat(self, stmt: ast.Repeat) -> ast.Stmt | list[ast.Stmt]:
-        rewritten = self.default_rewrite_stmt(stmt)
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is not None and isinstance(rewritten, ast.Stmt):
-            return self._instrument_loop(rewritten, unit)
-        return rewritten
-
-    def rewrite_for(self, stmt: ast.For) -> ast.Stmt | list[ast.Stmt]:
-        rewritten = self.default_rewrite_stmt(stmt)
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is not None and isinstance(rewritten, ast.Stmt):
-            return self._instrument_loop(rewritten, unit)
-        return rewritten
+    rewrite_while = rewrite_repeat = rewrite_for = _rewrite_loop
 
 
 def instrument_program(
     analysis: AnalyzedProgram,
-    side_effects: SideEffects | None = None,
-    loop_units: dict[int, LoopUnitInfo] | None = None,
+    side_effects: SideEffects,
+    loop_units: dict[int, LoopUnitInfo],
 ) -> InstrumentResult:
     """Insert trace-generating actions into an analyzed program."""
-    effects = (
-        side_effects if side_effects is not None else analyze_side_effects(analysis)
-    )
-    rewriter = _Instrumenter(analysis, effects, loop_units or {})
+    rewriter = _Instrumenter(analysis, side_effects, loop_units)
     program = rewriter.rewrite_program()
-    return InstrumentResult(
-        program=program,
-        source_map=rewriter.source_map,
-        instrumented_units=rewriter.instrumented,
-    )
+    return InstrumentResult(program=program, source_map=rewriter.source_map)

@@ -9,9 +9,10 @@ Order of passes:
    goto remains (each round peels one nesting level),
 4. convert global-variable accesses to ``in``/``out``/``var`` parameters,
 5. compute the loop-unit registry on the final program,
-6. insert trace-generating actions (producing the *instrumented* program,
-   a display/debug artifact — the tracer itself attaches to interpreter
-   hooks and traces the transformed program directly).
+6. on demand, insert trace-generating actions: the *instrumented*
+   program (:attr:`TransformedProgram.instrumented`) is a display
+   artifact, built only when something reads it. The tracer attaches to
+   interpreter hooks and traces the transformed program directly.
 
 Every pass re-analyzes its output and composes its source map with the
 accumulated one, so the pipeline result can map any transformed
@@ -58,7 +59,7 @@ from repro.transform.goto_elimination import (
     reduce_structured_gotos,
 )
 from repro.transform.goto_taxonomy import classify_program
-from repro.transform.instrument import instrument_program
+from repro.transform.instrument import InstrumentResult, instrument_program
 from repro.transform.loop_units import compute_loop_units
 from repro.transform.mapping import SourceMap
 
@@ -72,8 +73,6 @@ class TransformedProgram:
     side_effects: SideEffects
     source_map: SourceMap
     loop_units: dict[int, LoopUnitInfo] = field(default_factory=dict)
-    instrumented_program: ast.Program | None = None
-    instrumented_source_map: SourceMap | None = None
     added_params: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
     exit_params: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
@@ -107,35 +106,34 @@ class TransformedProgram:
             stack.extend((child, path) for child in node.children())
         return index
 
+    @cached_property
+    def instrumented(self) -> InstrumentResult:
+        """The program with trace-generating actions inserted (paper
+        §6), its source map mapping to the user's source. Built on first
+        read: nothing on the run, trace, debug or mutate path reads it."""
+        with obs.span("transform.pass.instrument"):
+            result = instrument_program(self.analysis, self.side_effects, self.loop_units)
+        return InstrumentResult(result.program, result.source_map.compose(self.source_map))
+
     # ------------------------------------------------------------------
     # growth metrics (paper §9: "Small procedures usually grow less than
     # a factor of two after transformations.")
 
     def growth_factor(self) -> float:
-        """Instrumented-vs-original program size ratio in source lines."""
+        """Transformed-vs-original program size ratio in source lines."""
         original_lines = _line_count(print_program(self.original_analysis.program))
-        final = (
-            self.instrumented_program
-            if self.instrumented_program is not None
-            else self.program
-        )
-        transformed_lines = _line_count(print_program(final))
+        transformed_lines = _line_count(print_program(self.program))
         return transformed_lines / max(original_lines, 1)
 
     def routine_growth_factors(self) -> dict[str, float]:
-        """Per-routine line-growth ratios."""
-        final_analysis = (
-            analyze(self.instrumented_program)
-            if self.instrumented_program is not None
-            else self.analysis
-        )
+        """Per-routine transformed-vs-original line-growth ratios."""
         original = {
             info.qualified_name: _line_count(print_routine(info.decl))
             for info in self.original_analysis.user_routines()
             if isinstance(info.decl, ast.RoutineDecl)
         }
         factors: dict[str, float] = {}
-        for info in final_analysis.user_routines():
+        for info in self.analysis.user_routines():
             if not isinstance(info.decl, ast.RoutineDecl):
                 continue
             before = original.get(info.qualified_name)
@@ -155,15 +153,13 @@ def _line_count(text: str) -> int:
 MAX_GOTO_ROUNDS = 10
 
 
-def transform_program(
-    analysis: AnalyzedProgram, instrument: bool = True
-) -> TransformedProgram:
+def transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     """Run the full transformation pipeline on an analyzed program."""
     with obs.span("transform.pipeline", program=analysis.program.name):
-        return _transform_program(analysis, instrument)
+        return _transform_program(analysis)
 
 
-def _transform_program(analysis: AnalyzedProgram, instrument: bool) -> TransformedProgram:
+def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     original = analysis
     warnings: list[str] = []
     accumulated = SourceMap.identity(analysis.program)
@@ -230,15 +226,6 @@ def _transform_program(analysis: AnalyzedProgram, instrument: bool) -> Transform
     with obs.span("transform.pass.loop_units"):
         loop_units = compute_loop_units(analysis, side_effects)
 
-    # 6. trace instrumentation (display artifact; see module docstring)
-    instrumented_program: ast.Program | None = None
-    instrumented_map: SourceMap | None = None
-    if instrument:
-        with obs.span("transform.pass.instrument"):
-            instrumented = instrument_program(analysis, side_effects, loop_units)
-            instrumented_program = instrumented.program
-            instrumented_map = instrumented.source_map.compose(accumulated)
-
     if obs.enabled():
         obs.add("transform.programs")
         obs.add("transform.loop_units", len(loop_units))
@@ -254,8 +241,6 @@ def _transform_program(analysis: AnalyzedProgram, instrument: bool) -> Transform
         side_effects=side_effects,
         source_map=accumulated,
         loop_units=loop_units,
-        instrumented_program=instrumented_program,
-        instrumented_source_map=instrumented_map,
         added_params=globals_result.added_params,
         exit_params=exit_params,
         warnings=warnings,
@@ -303,8 +288,9 @@ class TransformPatch:
         copied: every other node, the source map, the side effects, the
         loop units and the pass reports are shared with ``base``, which
         is never written. ``SideEffects.analysis`` and the routine infos
-        of copied routines are rebuilt, and the instrumented program is
-        built again from the patched analysis.
+        of copied routines are rebuilt. The instrumented program is not
+        built: the variant's :attr:`TransformedProgram.instrumented`
+        builds it from the patched analysis when read.
         """
         base, recipe = self.base, self.recipe
         node, fault = recipe.path[0], recipe.fault
@@ -324,36 +310,26 @@ class TransformPatch:
         if not edits:  # the fault sat in code a pass deleted
             return replace(base, original_analysis=original)
         analysis = patched_analysis(base.analysis, edits, {})
-        side_effects = replace(base.side_effects, analysis=analysis)
-        instrumented_program = instrumented_map = None
-        if base.instrumented_program is not None:
-            instrumented = instrument_program(analysis, side_effects, base.loop_units)
-            instrumented_program = instrumented.program
-            instrumented_map = instrumented.source_map.compose(base.source_map)
         return replace(
             base,
             original_analysis=original,
             analysis=analysis,
-            side_effects=side_effects,
-            instrumented_program=instrumented_program,
-            instrumented_source_map=instrumented_map,
+            side_effects=replace(base.side_effects, analysis=analysis),
         )
 
 
 #: content-addressed cache for :func:`transform_source` (see repro.cache).
-#: The whole pipeline (goto rounds, globals→params, loop units,
-#: instrumentation, each with a re-analysis) is by far the most
+#: The whole pipeline (goto rounds, globals→params, loop units, each
+#: with a re-analysis) is by far the most
 #: expensive pure-function-of-source stage, so benchmarks and mutation
 #: sweeps that rebuild systems from identical text hit this hard.
 _TRANSFORM_CACHE = _cache.register("transform")
 
 
-def transform_source(
-    source: str, cached: bool = True, instrument: bool = True
-) -> TransformedProgram:
+def transform_source(source: str, cached: bool = True) -> TransformedProgram:
     """Parse, analyze, and transform Mini-Pascal source text.
 
-    Results are cached keyed on the source hash plus ``instrument``;
+    Results are cached keyed on the source hash;
     identical text returns the identical :class:`TransformedProgram`
     (safe: the pipeline output is never mutated — tracing and debugging
     state lives in per-run objects). A text with a registered
@@ -364,19 +340,19 @@ def transform_source(
     reference the patched transforms are tested against.
     """
     if not cached:
-        return transform_program(analyze(parse_program(source)), instrument)
+        return transform_program(analyze(parse_program(source)))
 
     def build() -> TransformedProgram:
         analysis = analyze_source(source)
         recipe = registered_patch(source)
         if recipe is not None:
-            host = transform_source(recipe.printed.text, instrument=instrument)
+            host = transform_source(recipe.printed.text)
             patch = TransformPatch(host, recipe)
             if patch.full_path_reason(analysis) is None:
                 with obs.span("transform.patch"):
                     transformed = patch.build(analysis)
                 obs.add("transform.patched")
                 return transformed
-        return transform_program(analysis, instrument)
+        return transform_program(analysis)
 
-    return _TRANSFORM_CACHE.get_or_build(_cache.source_key(source, instrument), build)
+    return _TRANSFORM_CACHE.get_or_build(_cache.source_key(source), build)

@@ -218,10 +218,9 @@ def canonical_transform(transformed) -> dict:
             for site in side_effects.call_graph.sites
         ],
     }
-    if transformed.instrumented_program is not None:
-        instrumented_at = _positions(transformed.instrumented_program)
-        form["instrumented_text"] = print_program(transformed.instrumented_program)
-        form["instrumented_map"] = _map_form(
-            transformed.instrumented_source_map, instrumented_at, original_at
-        )
+    instrumented = transformed.instrumented
+    form["instrumented_text"] = print_program(instrumented.program)
+    form["instrumented_map"] = _map_form(
+        instrumented.source_map, _positions(instrumented.program), original_at
+    )
     return form

@@ -61,10 +61,6 @@ class TestRoutineInstrumentation:
         assert seen[0][2] == [21]  # incoming value of a
         assert seen[1][2] == [42]  # outgoing value of b
 
-    def test_instrumented_units_recorded(self):
-        result, _ = instrument(SIMPLE)
-        assert result.instrumented_units == ["p"]
-
 
 LOOPED = """
 program t;
@@ -76,17 +72,45 @@ begin
 end.
 """
 
+WHILE_LOOPED = """
+program t;
+var i, s: integer;
+begin
+  s := 0;
+  i := 1;
+  while i <= 3 do begin s := s + i; i := i + 1 end;
+  writeln(s)
+end.
+"""
+
+REPEAT_LOOPED = """
+program t;
+var i, s: integer;
+begin
+  s := 0;
+  i := 1;
+  repeat s := s + i; i := i + 1 until i > 3;
+  writeln(s)
+end.
+"""
+
 
 class TestLoopInstrumentation:
+    """Loop-unit actions on a three-iteration ``for`` loop; the
+    subclasses run the same tests on ``while`` and ``repeat``."""
+
+    LOOPED = LOOPED
+    UNIT = "t$for1"
+
     def test_loop_actions_inserted(self):
-        result, _ = instrument(LOOPED)
+        result, _ = instrument(self.LOOPED)
         text = print_program(result.program)
-        assert "gadt_loop_enter('t$for1'" in text
-        assert "gadt_loop_iter('t$for1')" in text
-        assert "gadt_loop_exit('t$for1'" in text
+        assert f"gadt_loop_enter('{self.UNIT}'" in text
+        assert f"gadt_loop_iter('{self.UNIT}')" in text
+        assert f"gadt_loop_exit('{self.UNIT}'" in text
 
     def test_iteration_action_runs_per_iteration(self):
-        result, _ = instrument(LOOPED)
+        result, _ = instrument(self.LOOPED)
         new_analysis = analyze(result.program)
         count = [0]
 
@@ -99,17 +123,27 @@ class TestLoopInstrumentation:
         assert count[0] == 3
 
     def test_loop_output_unchanged(self):
-        result, _ = instrument(LOOPED)
+        result, _ = instrument(self.LOOPED)
         new_analysis = analyze(result.program)
         assert Interpreter(new_analysis, io=PascalIO()).run().output == "6\n"
 
     def test_instrumented_program_reparses(self):
-        result, _ = instrument(LOOPED)
+        result, _ = instrument(self.LOOPED)
         from repro.pascal.parser import parse_program
 
         text = print_program(result.program)
         reparsed = analyze(parse_program(text))
         assert Interpreter(reparsed, io=PascalIO()).run().output == "6\n"
+
+
+class TestWhileLoopInstrumentation(TestLoopInstrumentation):
+    LOOPED = WHILE_LOOPED
+    UNIT = "t$while1"
+
+
+class TestRepeatLoopInstrumentation(TestLoopInstrumentation):
+    LOOPED = REPEAT_LOOPED
+    UNIT = "t$repeat1"
 
 
 class TestSourceMap:

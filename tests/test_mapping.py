@@ -111,16 +111,13 @@ class TestPipelineTotality:
             "program t; var i, s: integer; "
             "begin s := 0; for i := 1 to 3 do s := s + i; writeln(s) end."
         )
-        assert transformed.instrumented_program is not None
-        assert transformed.instrumented_source_map is not None
+        instrumented = transformed.instrumented
         original_ids = {
             node.node_id for node in transformed.original_analysis.program.walk()
         }
-        for node in transformed.instrumented_program.walk():
-            original = transformed.instrumented_source_map.original_id(node.node_id)
-            synthesized = transformed.instrumented_source_map.is_synthesized(
-                node.node_id
-            )
+        for node in instrumented.program.walk():
+            original = instrumented.source_map.original_id(node.node_id)
+            synthesized = instrumented.source_map.is_synthesized(node.node_id)
             assert original is not None or synthesized
             if original is not None:
                 assert original in original_ids

@@ -212,7 +212,7 @@ class TestSection9:
         """
         from repro.transform import transform_source
 
-        transformed = transform_source(source, instrument=False)
+        transformed = transform_source(source)
         factors = transformed.routine_growth_factors()
         assert factors and all(factor < 2.0 for factor in factors.values())
 

@@ -64,17 +64,11 @@ class TestAnalysisCache:
 
     def test_source_key_distinguishes_options(self):
         assert source_key("x") != source_key("y")
-        assert source_key("x", ("a", 1)) != source_key("x", ("a", 2))
 
 
 class TestTransformCache:
     def test_identical_source_returns_same_transform(self):
         assert transform_source(SOURCE) is transform_source(SOURCE)
-
-    def test_options_are_part_of_the_key(self):
-        assert transform_source(SOURCE) is not transform_source(
-            SOURCE, instrument=False
-        )
 
     def test_gadt_system_shares_cached_transform(self):
         first = GadtSystem.from_source(SOURCE)

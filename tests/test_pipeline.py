@@ -1,10 +1,18 @@
 """Integration tests for the full transformation pipeline (paper §5.1)."""
 
+import pytest
+
+from repro import cache
 from repro.analysis.sideeffects import analyze_side_effects
+from repro.core import GadtSystem, ReferenceOracle
 from repro.pascal import run_source
 from repro.pascal.interpreter import Interpreter, PascalIO
 from repro.pascal.pretty import print_program
-from repro.transform import transform_source
+from repro.pascal.semantics import analyze_source, registered_patch
+from repro.tracing.tracer import trace_source
+from repro.transform import instrument, pipeline, transform_source
+from repro.workloads import FIGURE4_FIXED_SOURCE, FIGURE4_SOURCE
+from repro.workloads.mutants import evaluate_mutants, generate_mutants
 
 
 def assert_equivalent(source: str, inputs=None):
@@ -83,8 +91,7 @@ class TestPipeline:
         transformed = transform_source(EVERYTHING)
         from repro.pascal.semantics import analyze
 
-        assert transformed.instrumented_program is not None
-        instrumented = analyze(transformed.instrumented_program)
+        instrumented = analyze(transformed.instrumented.program)
         output = Interpreter(instrumented, io=PascalIO()).run().output
         assert output == run_source(EVERYTHING).output
 
@@ -146,8 +153,8 @@ class TestPaperGrowthClaim:
     def test_small_procedures_grow_less_than_factor_two(self):
         """Paper §9: 'Small procedures usually grow less than a factor of
         two after transformations.' Checked on typical (global-using,
-        goto-free) procedures, without the instrumentation overhead."""
-        transformed = transform_source(self.TYPICAL, instrument=False)
+        goto-free) procedures."""
+        transformed = transform_source(self.TYPICAL)
         factors = transformed.routine_growth_factors()
         assert factors
         assert all(factor < 2.0 for factor in factors.values()), factors
@@ -173,3 +180,48 @@ class TestNoOpPipeline:
 
         assert_equivalent(FIGURE2_SOURCE, inputs=[5, 7, 9])
         assert_equivalent(FIGURE2_SOURCE, inputs=[1, 2])
+
+
+@pytest.fixture
+def instrument_calls(monkeypatch):
+    """Every call of ``instrument_program``, under each name it has,
+    with empty caches (no transform is a hit) before and after."""
+    calls = []
+    original = instrument.instrument_program
+
+    def spy(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(instrument, "instrument_program", spy)
+    monkeypatch.setattr(pipeline, "instrument_program", spy)
+    cache.clear_caches()
+    yield calls
+    cache.clear_caches()
+
+
+class TestInstrumentationOnDemand:
+    """The instrumented program is a display artifact: running, tracing,
+    debugging and sweeping mutants never build it."""
+
+    def test_debug_trace_and_mutate_build_no_instrumentation(self, instrument_calls):
+        system = GadtSystem.from_source(FIGURE4_SOURCE)
+        oracle = ReferenceOracle(analyze_source(FIGURE4_FIXED_SOURCE))
+        assert system.debugger(oracle).debug().bug_unit == "decrement"
+        trace_source(FIGURE4_SOURCE)
+
+        mutants = generate_mutants(FIGURE4_FIXED_SOURCE)
+        recipe = registered_patch(mutants[0].source)
+        patch = pipeline.TransformPatch(transform_source(recipe.printed.text), recipe)
+        assert patch.full_path_reason(analyze_source(mutants[0].source)) is None
+        transform_source(mutants[0].source)
+
+        outcomes = evaluate_mutants(FIGURE4_FIXED_SOURCE, mutants, workers=None)
+        assert any(outcome.status == "localized" for outcome in outcomes)
+        assert instrument_calls == []
+
+    def test_reading_twice_builds_once(self, instrument_calls):
+        transformed = transform_source(FIGURE4_SOURCE, cached=False)
+        first = transformed.instrumented
+        assert transformed.instrumented is first
+        assert len(instrument_calls) == 1

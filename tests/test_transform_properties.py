@@ -27,8 +27,7 @@ def test_transformed_program_pretty_prints_and_reparses(source):
 def test_instrumented_program_equivalent(source):
     """Inserting trace actions never changes behaviour."""
     transformed = transform_source(source)
-    assert transformed.instrumented_program is not None
-    instrumented = analyze(transformed.instrumented_program)
+    instrumented = analyze(transformed.instrumented.program)
     original_output = run_source(source, step_limit=500_000).output
     assert Interpreter(instrumented, io=PascalIO()).run().output == original_output
 

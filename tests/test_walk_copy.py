@@ -123,7 +123,7 @@ class TestWalk:
             _same_walk(analyze_source(source).program)
             transformed = transform_source(source)
             _same_walk(transformed.program)
-            _same_walk(transformed.instrumented_program)
+            _same_walk(transformed.instrumented.program)
 
 
 def _pass_maps(monkeypatch, analysis, copy, id_base):
@@ -143,13 +143,14 @@ def _pass_maps(monkeypatch, analysis, copy, id_base):
         patch.setattr(Rewriter, "rewrite_program", recording)
         patch.setattr(ast, "_NODE_IDS", itertools.count(id_base))
         transformed = transform_program(analysis)
+        instrumented = transformed.instrumented
     composed = (
         transformed.source_map.to_original,
         transformed.source_map.synthesized,
-        transformed.instrumented_source_map.to_original,
-        transformed.instrumented_source_map.synthesized,
+        instrumented.source_map.to_original,
+        instrumented.source_map.synthesized,
     )
-    printed = (print_program(transformed.program), print_program(transformed.instrumented_program))
+    printed = (print_program(transformed.program), print_program(instrumented.program))
     return maps, composed, printed
 
 
