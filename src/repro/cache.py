@@ -191,6 +191,10 @@ class ContentCache:
         if _ENABLED:
             self._put(key, value)
 
+    def discard(self, key: tuple) -> None:
+        """Drop the in-memory entry for ``key``, if any."""
+        self._store.pop(key, None)
+
     def _put(self, key: tuple, value: Any) -> None:
         self._store[key] = value
         if len(self._store) > self.max_entries:

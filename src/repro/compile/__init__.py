@@ -23,11 +23,20 @@ replay) skips compilation. The cache is small — almost every sweep
 trace is of new text — and non-persistable: closures capture symbol
 objects and analysis tables by identity, so they are meaningless
 outside the process that built them.
+
+An analysis patched from another (a mutant's, see
+:func:`~repro.pascal.semantics.patched_analysis`) compiles as a patch
+of its base's program in the same form: it shares the base's main and
+every compiled routine body except those whose body node differs
+(counted in ``compile.patched``). A sweep's mutants thus compile only
+their faulty statement and its ancestors, against the host program
+their sweep already ran.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import replace
 
 from repro import cache, obs
 
@@ -88,7 +97,8 @@ def compile_program(analysis, side_effects=None, loop_units=None, *, traced: boo
     analyzed program in one form (``traced`` or plain), served from the
     compile cache while the same analysis, form, and loop-unit
     registration are re-run. Routine bodies compile on their first
-    call."""
+    call. A patched analysis compiles as a patch of its base's program
+    (itself served from the cache), sharing every body it shares."""
     from repro.compile.compiler import compile_analysis
 
     # Plain closures ignore side effects and loop units.
@@ -96,14 +106,27 @@ def compile_program(analysis, side_effects=None, loop_units=None, *, traced: boo
     hits_before = _COMPILE_CACHE.hits
 
     def build():
+        base, effects = None, side_effects
+        origin = analysis.patched_from
+        if origin is not None:
+            base_effects = effects
+            if effects is not None and effects.analysis is analysis:
+                base_effects = replace(effects, analysis=origin)
+            base = compile_program(origin, base_effects, loop_units, traced=traced)
+            if traced and effects is None:
+                # A patch changes an operator or a literal, never an effect.
+                effects = replace(base.side_effects, analysis=analysis)
         with obs.span("compile.time", program=analysis.program.name):
             program = compile_analysis(
                 analysis,
-                side_effects=side_effects,
+                side_effects=effects,
                 loop_units=loop_units,
                 traced=traced,
+                base=base,
             )
         obs.add("compile.programs")
+        if base is not None:
+            obs.add("compile.patched")
         return program
 
     program = _COMPILE_CACHE.get_or_build(key, build)

@@ -8,15 +8,28 @@ membership, binding plans. A compiler emits one form, plain
 (``traced=False``) or traced (``traced=True``), and a
 :class:`CompiledProgram` carries that form's entry point.
 
-Only the main body compiles up front. Each routine body is reached
-through a one-element ``body_refs`` cell that first holds a stub; the
-stub compiles the body on the routine's first call, stores it in the
-cell, and runs it. Routines a run never calls are never compiled, and
-neither are their call sites or the binding plans those would need.
-The stub is safe to race when threads share a cached program:
-compiling is a pure function of the analysis, so two threads that both
-miss build equivalent closures, and the cell write is a single store,
-so every caller runs a complete body.
+Only the main body compiles up front. A call closure reaches its
+callee's body through the running program's body table,
+``rt.bodies[index]``, whose entry first holds a stub; the stub compiles
+the body on the routine's first call, stores it in the table of the
+program being run, and runs it. Routines a run never calls are never
+compiled, and neither are their call sites or the binding plans those
+would need. The stub is safe to race when threads share a cached
+program: compiling is a pure function of the analysis, so two threads
+that both miss build equivalent closures, and the table write is a
+single store, so every caller runs a complete body.
+
+Since no closure holds another routine's body, a compiled body serves
+any program that holds the same body node. An analysis patched from
+another (:func:`~repro.pascal.semantics.patched_analysis`, a mutant)
+compiles as a patch of its base's program: it copies the base's main
+closure and body table, and puts a stub of its own only where a
+routine's body node differs from the base's. That stub reuses the
+base's closure of every statement node the two bodies share, so only
+the copied statements (the faulty one and its ancestors) compile, with
+the base's frame layouts and binding plans. Running the patch fills its
+own table, never the base's. This is the compiled counterpart of
+``AnalysisPatch`` and ``TransformPatch``.
 
 Traced closures carry their event emission *inline*: the statement
 prologue (:func:`repro.compile.emit.enter_stmt`) allocates the
@@ -67,29 +80,45 @@ class CompiledProgram:
         "loop_units",
         "global_symbols",
         "main",
+        "bodies",
+        "compiler",
     )
 
-    def __init__(self, analysis, side_effects, loop_units, main):
+    def __init__(self, analysis, side_effects, loop_units, main, bodies, compiler):
         self.analysis = analysis
         self.side_effects = side_effects
         self.loop_units = loop_units
         self.global_symbols = list(analysis.main.locals)
         self.main = main
+        #: routine bodies (or first-call stubs), by declaration order;
+        #: call closures read it as ``rt.bodies``
+        self.bodies = bodies
+        #: what compiles this program's stubs; a patch borrows its
+        #: frame layouts and binding plans
+        self.compiler = compiler
 
 
 def compile_analysis(
-    analysis: AnalyzedProgram, side_effects=None, loop_units=None, *, traced: bool
+    analysis: AnalyzedProgram,
+    side_effects=None,
+    loop_units=None,
+    *,
+    traced: bool,
+    base: CompiledProgram | None = None,
 ) -> CompiledProgram:
     """Compile an analyzed program into one backend form. Side effects
-    and loop units only shape the traced form."""
+    and loop units only shape the traced form. ``base``, the same form
+    of the analysis ``analysis`` was patched from, lends its main
+    closure and every routine body whose node ``analysis`` shares."""
     if traced:
         if side_effects is None:
             side_effects = analyze_side_effects(analysis)
         loop_units = dict(loop_units) if loop_units else {}
     else:
         side_effects, loop_units = None, {}
-    main = Compiler(analysis, side_effects, loop_units, traced).compile_main()
-    return CompiledProgram(analysis, side_effects, loop_units, main)
+    compiler = Compiler(analysis, side_effects, loop_units, traced)
+    main, bodies = compiler.compile_program(base)
+    return CompiledProgram(analysis, side_effects, loop_units, main, bodies, compiler)
 
 
 def _lex_depth(routine_symbol) -> int:
@@ -156,30 +185,62 @@ class Compiler:
         self.traced = traced
         self.global_slot: dict = {}
         self.layouts: dict = {}
-        self.body_refs: dict = {}
+        #: routine symbol -> its entry in the body table
+        self.body_index: dict = {}
         self.plans: dict = {}
+        #: routine symbol -> the base compiler whose body node this
+        #: program shares, and so whose binding plan it may use
+        self.lenders: dict = {}
+        #: id(statement) -> (statement, its closure), for each statement
+        #: this compiler compiled, and the same for the base's
+        self.stmts: dict = {}
+        self.lent_stmts: dict = {}
 
     # ------------------------------------------------------------------
     # program assembly
 
-    def compile_main(self):
+    def compile_program(self, base: CompiledProgram | None = None):
+        """The main closure and the body table. With ``base`` (see
+        :func:`compile_analysis`), each routine whose body node is the
+        base's keeps the base's table entry, and main is the base's if
+        its body is."""
         main = self.analysis.main
-        for index, symbol in enumerate(main.locals):
-            self.global_slot[symbol] = index
         routines = [
             (symbol, info)
             for symbol, info in self.analysis.routines.items()
             if not info.is_main
         ]
-        for symbol, info in routines:
-            self.layouts[symbol] = _Layout(info)
-            body_ref = self.body_refs[symbol] = [None]
-            body_ref[0] = self._compile_on_first_call(symbol, info, body_ref)
+        if base is not None:
+            # A patch has its base's symbols and routines, in the same
+            # order: only bodies may differ, and in a changed body only
+            # the copied statements.
+            lender = base.compiler
+            self.global_slot = lender.global_slot
+            self.layouts = lender.layouts
+            self.body_index = lender.body_index
+            self.lent_stmts = lender.stmts
+        else:
+            for index, symbol in enumerate(main.locals):
+                self.global_slot[symbol] = index
+            for index, (symbol, info) in enumerate(routines):
+                self.layouts[symbol] = _Layout(info)
+                self.body_index[symbol] = index
+        bodies = []
+        for index, (symbol, info) in enumerate(routines):
+            body = info.block.body
+            if base is not None and lender.analysis.routines[symbol].block.body is body:
+                bodies.append(base.bodies[index])
+                self.lenders[symbol] = lender
+            else:
+                bodies.append(self._compile_on_first_call(symbol, info, index))
+        if base is not None and base.analysis.main.block.body is main.block.body:
+            return base.main, bodies
         main_ctx = _Ctx(main, owner=None, lex_depth=0)
-        return self.compile_stmt(main_ctx, main.block.body)
+        return self.compile_stmt(main_ctx, main.block.body), bodies
 
-    def _compile_on_first_call(self, symbol, info, body_ref):
-        """The stub a routine's body cell holds until its first call."""
+    def _compile_on_first_call(self, symbol, info, index):
+        """The stub a routine's body-table entry holds until its first
+        call. It stores the body in the table of the program it runs in."""
         ctx = _Ctx(info, owner=symbol, lex_depth=self.layouts[symbol].lex_depth)
 
         def first_call(rt, frame):
@@ -187,7 +248,7 @@ class Compiler:
             with obs.span("compile.routine", routine=info.name):
                 body = self.compile_stmt(ctx, info.block.body)
             obs.add("compile.routines")
-            body_ref[0] = body
+            rt.bodies[index] = body
             if self.traced and rt.prof is not None:
                 # Hot-spot self time is the program's, not the compiler's.
                 rt.prof.skip(perf_counter() - started)
@@ -259,7 +320,8 @@ class Compiler:
     def plan_of(self, target) -> RoutinePlan:
         plan = self.plans.get(target)
         if plan is None:
-            plan = self._build_plan(target)
+            lender = self.lenders.get(target)
+            plan = self._build_plan(target) if lender is None else lender.plan_of(target)
             self.plans[target] = plan
         return plan
 
@@ -308,7 +370,7 @@ class Compiler:
         target = self.analysis.call_target[call.node_id]
         info = self.analysis.routines[target]
         layout = self.layouts[target]
-        body_ref = self.body_refs[target]
+        body_index = self.body_index[target]
         binders = [
             self._param_binder(ctx, param, arg)
             for param, arg in zip(info.params, args)
@@ -335,7 +397,7 @@ class Compiler:
                 frame = CFrame(slots, up_getter(f))
                 rt.depth += 1
                 try:
-                    body_ref[0](rt, frame)
+                    rt.bodies[body_index](rt, frame)
                 finally:
                     rt.depth -= 1
                 if result_slot is not None:
@@ -385,7 +447,7 @@ class Compiler:
                             writers[None] = call_occ
             via_goto = None
             try:
-                body_ref[0](rt, frame)
+                rt.bodies[body_index](rt, frame)
             except GotoSignal as signal:
                 via_goto = signal.label
                 raise
@@ -566,6 +628,14 @@ class Compiler:
     # statements
 
     def compile_stmt(self, ctx: _Ctx, stmt):
+        closure = self.lent_stmts.get(id(stmt))
+        if closure is not None and closure[0] is stmt:
+            return closure[1]
+        closure = self._compile_stmt(ctx, stmt)
+        self.stmts[id(stmt)] = (stmt, closure)
+        return closure
+
+    def _compile_stmt(self, ctx: _Ctx, stmt):
         factory = self._STMT_FACTORIES.get(stmt.__class__)
         if factory is None:
             for klass, candidate in list(self._STMT_FACTORIES.items()):

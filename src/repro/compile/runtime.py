@@ -15,7 +15,8 @@ mutable state those closures run against:
   ``up``-link hop for nested routines, or the shared globals slab), so
   there is no per-access dict lookup or frame-stack scan.
 * :class:`Runtime` — the per-run state (io, step counter, budget, call
-  depth, globals) plus the plain ``run()`` entry point. The traced
+  depth, globals, the program's routine-body table) plus the plain
+  ``run()`` entry point. The traced
   variant lives in :mod:`repro.compile.emit`.
 
 Conformance: every limit check reproduces the interpreter byte for
@@ -130,10 +131,13 @@ class Runtime:
         "max_depth",
         "gslots",
         "globals_frame",
+        "bodies",
     )
 
     def __init__(self, program, io=None, step_limit: int = 2_000_000, budget=None):
         self.program = program
+        #: the program's body table, read by every call closure
+        self.bodies = program.bodies
         self.io = io if io is not None else PascalIO()
         if budget is not None:
             step_limit = budget.effective_step_limit(step_limit)

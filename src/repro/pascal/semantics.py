@@ -111,6 +111,9 @@ class AnalyzedProgram:
     result_assigns: set[int] = field(default_factory=set)
     stmt_routine: dict[int, Symbol] = field(default_factory=dict)
     named_types: dict[int, str] = field(default_factory=dict)  # type-expr node -> declared name
+    #: the analysis this one was patched from (:func:`patched_analysis`),
+    #: None for a parse: what the compiler shares routine bodies with
+    patched_from: "AnalyzedProgram | None" = field(default=None, repr=False, compare=False)
 
     def routine_named(self, qualified_name: str) -> RoutineInfo:
         """Look up a routine by qualified (or unique unqualified) name."""
@@ -847,7 +850,8 @@ def patched_analysis(
     already hold copies of nodes below the edited ones. Every copy
     keeps its node id, so each side table of ``base`` is shared; the
     routine infos whose declaration was copied are rebuilt, and with
-    them their call sites.
+    them their call sites. The result records ``base`` as the analysis
+    it was patched from.
     """
     for (node, link), changes in edits:
         held = copies.get(id(node), node)  # what the parent holds now
@@ -876,6 +880,7 @@ def patched_analysis(
         program=copies[id(base.program)],
         main=routines[base.main.symbol],
         routines=routines,
+        patched_from=base,
     )
 
 
@@ -904,6 +909,12 @@ def register_patch(source: str, patch: AnalysisPatch) -> None:
     """Have :func:`analyze_source` build the analysis of ``source`` with
     ``patch`` instead of a parse, whenever it is not cached."""
     _PATCHES.put(_cache.source_key(source), patch)
+
+
+def forget_patch(source: str) -> None:
+    """Drop the recipe registered for ``source``, if any: its analysis
+    is then built by a parse, or served from the cache."""
+    _PATCHES.discard(_cache.source_key(source))
 
 
 def registered_patch(source: str) -> AnalysisPatch | None:

@@ -25,6 +25,14 @@ module replaces it with per-task submission on a
   hammered with immediate resubmissions while healthy tasks keep
   flowing around the waiting ones.
 
+A worker whose initializer raises does not die: each task it is given
+fails with the initializer's error instead, and is retried and then
+marked ``infra_error`` like any failing task. A worker that dies before
+starting any task (a killed or crashed initializer) breaks the pool
+with no task to charge; after ``_MAX_IDLE_BREAKS`` such breaks in a row
+every unfinished task is marked ``infra_error`` rather than requeued
+into yet another pool that would break the same way.
+
 Results come back as :class:`TaskResult` records, one per payload, in
 payload order — an ``ok`` result for every task whose function
 returned, and a classified failure for every task that could not be
@@ -52,6 +60,9 @@ from repro.resilience.backoff import Backoff, RetrySchedule
 #: timeout-detection latency)
 _POLL_S = 0.05
 
+#: pool breaks in a row with no task started before the call gives up
+_MAX_IDLE_BREAKS = 3
+
 
 @dataclass
 class TaskResult:
@@ -69,17 +80,23 @@ class TaskResult:
 # worker side
 
 _STAMPS = None  # set per worker process by _pool_init
+_INIT_ERROR: str | None = None  # the user initializer's failure, if any
 
 
 def _pool_init(stamps, user_initializer, user_initargs) -> None:
-    global _STAMPS
+    global _STAMPS, _INIT_ERROR
     # Move the heap a forked worker inherits into the permanent
     # generation (an O(1) splice), so the worker's own collections walk
     # only what its tasks allocate, not the parent's whole heap.
     gc.freeze()
     _STAMPS = stamps
     if user_initializer is not None:
-        user_initializer(*user_initargs)
+        try:
+            user_initializer(*user_initargs)
+        except Exception as exc:
+            # Raising here would only break the pool, before any task
+            # could carry the error back: the tasks fail with it instead.
+            _INIT_ERROR = f"{type(exc).__name__}: {exc}"
 
 
 def _entry(fn, index: int, submit_id: int, attempt: int, payload):
@@ -87,6 +104,8 @@ def _entry(fn, index: int, submit_id: int, attempt: int, payload):
     parent attribute a later pool break to this task; the write takes
     no lock, so a worker killed at any point cannot wedge it."""
     _STAMPS[index] = submit_id
+    if _INIT_ERROR is not None:
+        raise RuntimeError(f"worker initializer failed: {_INIT_ERROR}")
     return fn(payload, attempt)
 
 
@@ -202,6 +221,10 @@ def run_isolated(
     #: indices awaiting (re)submission — drained at the top of each cycle
     backlog: list[int] = list(range(len(payloads)))
 
+    #: consecutive pool breaks with no task started or finished between
+    idle_breaks = 0
+    settled_at_break = 0
+
     try:
         while pending or backlog:
             pool_broken = False
@@ -276,6 +299,26 @@ def run_isolated(
                         requeue.append(index)
                 pending.clear()
                 executor.shutdown(wait=False, cancel_futures=True)
+                if suspects or len(results) > settled_at_break:
+                    idle_breaks = 0
+                else:
+                    idle_breaks += 1
+                settled_at_break = len(results)
+                if idle_breaks >= _MAX_IDLE_BREAKS:
+                    # Workers die before starting anything: a new pool
+                    # would too. Nothing ran, so nothing is retried.
+                    for index in (*requeue, *backlog):
+                        results[index] = TaskResult(
+                            index=index,
+                            status="infra_error",
+                            error=(
+                                f"worker pool broke {idle_breaks} times "
+                                "before any task started"
+                            ),
+                            retries=failures[index],
+                        )
+                    backlog.clear()
+                    break
                 executor = make_executor(pool_size)
                 if len(suspects) == 1:
                     if record_failure(suspects[0], "worker process died"):

@@ -23,10 +23,26 @@ or anything else, builds the analysis from it without lexing, parsing
 or analysing, and the analysis cache keeps it. The first
 ``transform_source`` of the text (``GadtSystem.from_source``) builds
 its transform the same way, as a patch of the printed host's transform,
-with no pass pipeline. Nothing is built for mutants that are never run.
+with no pass pipeline, and its compiled programs are patches of the
+host's (:mod:`repro.compile.compiler`): only the faulty statement and
+its ancestors compile. Nothing is built for mutants that are never run.
+
+A sweep (:func:`evaluate_mutants`) reuses the host run three ways:
+
+* the parent runs the printed host once with a statement hook
+  (:func:`unreached_mutants`), and settles every mutant whose statement
+  that run never executes as *equivalent*, with no probe and no worker;
+  a sweep left with nothing to probe starts no pool and builds no
+  oracle;
+* the sweep state, built once per worker (or once in the parent when
+  sequential), runs the printed host on the probes' engine and builds
+  the reference oracle from the printed host, so the host's compiled
+  programs and transform are the bases of every mutant's;
+* a probe runs on the sweep's trace engine (compiled by default): one
+  patched compile and a compiled run.
+
 Sweep workers register the recipes themselves, since a spawned worker
-does not inherit the parent's, and build their reference oracle from
-the printed host: its transform is then the base of every mutant's.
+does not inherit the parent's.
 """
 
 from __future__ import annotations
@@ -36,8 +52,15 @@ from dataclasses import dataclass, field, replace
 
 from repro import obs
 from repro.pascal import ast_nodes as ast
+from repro.pascal.interpreter import ExecutionHooks, Interpreter
 from repro.pascal.pretty import PrintedProgram, print_program
-from repro.pascal.semantics import AnalysisPatch, analyze_source, register_patch
+from repro.pascal.semantics import (
+    AnalysisPatch,
+    analyze_source,
+    forget_patch,
+    register_patch,
+    registered_patch,
+)
 
 #: operator substitutions, one per mutant
 _BINARY_FLIPS = {
@@ -110,6 +133,11 @@ def generate_mutants(
         base = analyze_source(printed.text)
         if base.program is not printed.program:
             printed = PrintedProgram(base.program)
+        # A host's text is transformed on its own, never as a patch of
+        # another host's: its recipe (say, as the fixed program's
+        # mutant, for a buggy host) could lead back to one of its own
+        # mutants and close a cycle.
+        forget_patch(printed.text)
         mutants: list[Mutant] = []
         for node, owner, host, path in _sites(base.program):
             if units is not None and owner not in units:
@@ -202,6 +230,7 @@ def _debug_one_mutant_impl(
     degrade: bool = False,
     backend: str | None = None,
 ) -> LocalizationOutcome:
+    from repro.compile import resolve_backend
     from repro.core import AlgorithmicDebugger, GadtSystem
     from repro.pascal import run_source
     from repro.pascal.errors import PascalError
@@ -213,8 +242,13 @@ def _debug_one_mutant_impl(
         Budget.started(deadline_s=deadline_s) if deadline_s is not None else None
     )
     try:
+        # The probe runs on the sweep's trace engine: compiled, it is a
+        # patch of the host program the sweep state already ran.
         output = run_source(
-            mutant.source, step_limit=step_limit, budget=budget, backend=backend
+            mutant.source,
+            step_limit=step_limit,
+            budget=budget,
+            backend=resolve_backend(backend, traced=True),
         ).output
     except BudgetExceeded as exc:
         return LocalizationOutcome(
@@ -275,9 +309,74 @@ def _printed_host(source: str) -> str:
     """``source`` as :func:`generate_mutants` prints it: the text the
     mutants are edits of. The reference oracle is built from it, so the
     host transform that serves the oracle is also the base of every
-    mutant's transform. (The baseline run stays on ``source``: a host
-    that fails reports its error at the user's own position.)"""
+    mutant's transform."""
     return print_program(analyze_source(source).program)
+
+
+class _Coverage(ExecutionHooks):
+    """Collects the node id of every statement a run executes."""
+
+    def __init__(self) -> None:
+        self.executed: set[int] = set()
+
+    def before_stmt(self, stmt, frame) -> None:
+        self.executed.add(stmt.node_id)
+
+
+def unreached_mutants(
+    source: str, mutants: list[Mutant], step_limit: int = 500_000
+) -> list[bool]:
+    """Which of ``mutants`` sit in a statement the printed host's run
+    never executes, by one hooked run of it.
+
+    Such a mutant runs exactly as its host does: the run is
+    deterministic, its input is the same, and the faulty expression is
+    evaluated only when its statement runs. A mutant is judged only if
+    its registered recipe (:class:`~repro.pascal.semantics.AnalysisPatch`)
+    is a patch of the printed host's current analysis; one without
+    (another source's, an evicted recipe) counts as reached. A host
+    whose run fails raises its error at the position in ``source``.
+    """
+    from repro.pascal import run_source
+    from repro.pascal.errors import PascalError
+
+    printed = _printed_host(source)
+    host = analyze_source(printed)
+    coverage = _Coverage()
+    try:
+        Interpreter(host, hooks=coverage, step_limit=step_limit).run()
+    except PascalError:
+        if printed != source:
+            run_source(source, step_limit=step_limit)  # raises at the user's position
+        raise
+    unreached = []
+    for mutant in mutants:
+        recipe = registered_patch(mutant.source)
+        unreached.append(
+            recipe is not None
+            and recipe.base is host
+            and recipe.host.node_id not in coverage.executed
+        )
+    return unreached
+
+
+def _sweep_state(source: str, step_limit: int, backend: str | None) -> tuple:
+    """(baseline output, reference oracle) of a sweep over the mutants
+    of ``source``. The baseline is a run of the printed host on the
+    probes' engine: compiled, it leaves the host program, with every
+    routine the host calls compiled, as the base of each probe's."""
+    from repro.compile import resolve_backend
+    from repro.core import ReferenceOracle
+    from repro.pascal import run_source
+
+    printed = _printed_host(source)
+    baseline = run_source(
+        printed, step_limit=step_limit, backend=resolve_backend(backend, traced=True)
+    ).output
+    reference = ReferenceOracle.from_source(
+        printed, step_limit=step_limit, backend=backend
+    )
+    return baseline, reference
 
 
 #: per-worker-process state for the parallel path, built once by the pool
@@ -298,8 +397,6 @@ def _init_mutant_worker(
     backend: str | None = None,
 ) -> None:
     global _WORKER_STATE
-    from repro.core import ReferenceOracle
-    from repro.pascal import run_source
     from repro.resilience import faults
 
     # The parent's fault plan is shipped to every worker so injection
@@ -309,13 +406,9 @@ def _init_mutant_worker(
     # A forked worker inherits the parent's patch recipes, a spawned one
     # does not: registering them here spares every mutant's front half.
     generate_mutants(source)
-    baseline = run_source(source, step_limit=step_limit, backend=backend).output
-    reference = ReferenceOracle.from_source(
-        _printed_host(source), step_limit=step_limit, backend=backend
-    )
     _WORKER_STATE = (
-        baseline, reference, strategy, enable_slicing, step_limit,
-        deadline_s, degrade, backend,
+        *_sweep_state(source, step_limit, backend), strategy, enable_slicing,
+        step_limit, deadline_s, degrade, backend,
     )
 
 
@@ -343,7 +436,9 @@ def evaluate_mutants(
     """Debug every behaviour-changing mutant against the original program.
 
     A mutant whose output equals the original's is *equivalent* (not
-    debuggable); one that crashes is recorded as *crashed*; otherwise the
+    debuggable); so is one in a statement the original's run never
+    executes (:func:`unreached_mutants`), settled here without a run of
+    its own. One that crashes is recorded as *crashed*; otherwise the
     debugger runs with a reference oracle backed by the original, and the
     outcome records whether the blamed unit is the mutated one. The
     blamed unit counts as correct if it is the mutated routine or a unit
@@ -375,7 +470,15 @@ def evaluate_mutants(
         )
     parallel = workers is not None and workers > 1 and len(mutants) > 1
     with obs.span("mutants.evaluate", mutants=len(mutants)):
-        if parallel:
+        outcomes: list[LocalizationOutcome | None] = [
+            LocalizationOutcome(mutant=mutant, status="equivalent") if unreached else None
+            for mutant, unreached in zip(
+                mutants, unreached_mutants(source, mutants, step_limit)
+            )
+        ]
+        obs.add("mutants.unreached", sum(outcome is not None for outcome in outcomes))
+        todo = [index for index, outcome in enumerate(outcomes) if outcome is None]
+        if todo and parallel:
             from repro.resilience import faults
             from repro.resilience.pool import run_isolated
 
@@ -385,8 +488,8 @@ def evaluate_mutants(
             pool_timeout = None if deadline_s is None else deadline_s * 4 + 30
             task_results = run_isolated(
                 _evaluate_in_worker,
-                mutants,
-                workers=min(workers, len(mutants)),
+                [mutants[index] for index in todo],
+                workers=min(workers, len(todo)),
                 initializer=_init_mutant_worker,
                 initargs=(
                     source, strategy, enable_slicing, step_limit,
@@ -395,36 +498,25 @@ def evaluate_mutants(
                 timeout_s=pool_timeout,
                 retries=retries,
             )
-            outcomes = []
-            for task, mutant in zip(task_results, mutants):
+            for task, index in zip(task_results, todo):
                 if task.status == "ok":
                     outcome = task.value
                     outcome.retries = task.retries
                 else:
                     outcome = LocalizationOutcome(
-                        mutant=mutant,
+                        mutant=mutants[index],
                         status=task.status,
                         error=task.error,
                         retries=task.retries,
                     )
-                outcomes.append(outcome)
-        else:
-            from repro.core import ReferenceOracle
-            from repro.pascal import run_source
-
-            baseline = run_source(
-                source, step_limit=step_limit, backend=backend
-            ).output
-            reference = ReferenceOracle.from_source(
-                _printed_host(source), step_limit=step_limit, backend=backend
-            )
-            outcomes = [
-                _debug_one_mutant(
-                    mutant, baseline, reference, strategy, enable_slicing,
+                outcomes[index] = outcome
+        elif todo:
+            baseline, reference = _sweep_state(source, step_limit, backend)
+            for index in todo:
+                outcomes[index] = _debug_one_mutant(
+                    mutants[index], baseline, reference, strategy, enable_slicing,
                     step_limit, deadline_s, degrade, backend,
                 )
-                for mutant in mutants
-            ]
     if obs.enabled():
         # Aggregated in the parent so worker processes (where obs stays
         # at its default, off) still land in one registry.

@@ -2,8 +2,10 @@
 budgets, fault injection, degraded tracing, crash-isolated pools, and
 crash-safe persistence. See docs/ROBUSTNESS.md."""
 
+import contextlib
 import os
 import pickle
+import signal
 import time
 
 import pytest
@@ -279,6 +281,31 @@ def _hang_on_three(payload, attempt):
     return payload * 2
 
 
+def _raising_initializer():
+    raise ValueError("no host state")
+
+
+def _dying_initializer():
+    os._exit(7)
+
+
+@contextlib.contextmanager
+def hard_timeout(seconds: float):
+    """Fail the enclosed block once ``seconds`` of wall time pass, even
+    if it never returns on its own (SIGALRM, main thread only)."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 class TestRunIsolated:
     def test_rejects_zero_and_negative_workers(self):
         with pytest.raises(ValueError):
@@ -337,6 +364,28 @@ class TestRunIsolated:
 
     def test_empty_payloads(self):
         assert run_isolated(_ok_task, [], workers=2) == []
+
+    def test_raising_initializer_fails_every_task_with_its_error(self):
+        with hard_timeout(60):
+            results = run_isolated(
+                _ok_task, [1, 2, 3], workers=2,
+                initializer=_raising_initializer, retries=1,
+            )
+        for task in results:
+            assert task.status == "infra_error"
+            assert task.error == (
+                "RuntimeError: worker initializer failed: ValueError: no host state"
+            )
+
+    def test_initializer_that_kills_its_worker_ends_the_call(self):
+        with hard_timeout(60):
+            results = run_isolated(
+                _ok_task, [1, 2, 3], workers=2, initializer=_dying_initializer
+            )
+        for task in results:
+            assert task.status == "infra_error"
+            assert task.retries == 0
+            assert "before any task started" in task.error
 
 
 # ----------------------------------------------------------------------

@@ -105,6 +105,16 @@ def test_every_mutant_of_the_fixed_hosts(name):
         assert_transform_matches_pipeline(mutant, traces=True)
 
 
+def test_hosts_that_are_each_others_mutants():
+    """The buggy Figure 4 is a mutant of the fixed one and the other way
+    round. Sweeping both must not make either host's transform a patch
+    of the other's, which would lead back to itself."""
+    cache.clear_caches()
+    generate_mutants(HOSTS["FIGURE4_SOURCE"])
+    for mutant in generate_mutants(HOSTS["FIGURE4_FIXED_SOURCE"]):
+        assert_transform_matches_pipeline(mutant)
+
+
 #: A fresh pipeline run costs about 40 ms, so tier-1 checks a slice of
 #: the corpus: every twelfth mutant of seeds 0-19, rotated by the seed,
 #: and the first operator and first constant mutant of every fifteenth
