@@ -341,52 +341,20 @@ def cmd_stats(args: argparse.Namespace) -> int:
         print(f"localized: {result.bug_unit or 'no'}")
         print(obs.report.render_answer_sources(result.report()))
     snapshot = obs.snapshot()
-    goto_case_counters = {
-        name: value
-        for name, value in sorted(snapshot.get("counters", {}).items())
-        if name.startswith("transform.goto.case.")
-    }
-    if goto_case_counters:
-        print(
-            "goto cases: "
-            + ", ".join(
-                f"{n.removeprefix('transform.goto.case.')} {v}"
-                for n, v in goto_case_counters.items()
-            )
-        )
-    goto_elim_counters = {
-        name: value
-        for name, value in sorted(snapshot.get("counters", {}).items())
-        if name.startswith("transform.goto.eliminated.")
-    }
-    if goto_elim_counters:
-        print(
-            "goto eliminated: "
-            + ", ".join(
-                f"{n.removeprefix('transform.goto.eliminated.')} {v}"
-                for n, v in goto_elim_counters.items()
-            )
-        )
-    compile_counters = {
-        name: value
-        for name, value in sorted(snapshot.get("counters", {}).items())
-        if name.startswith("compile.")
-    }
-    if compile_counters:
-        print(
-            "compile: "
-            + ", ".join(f"{n.removeprefix('compile.')} {v}" for n, v in compile_counters.items())
-        )
-    serve_counters = {
-        name: value
-        for name, value in sorted(snapshot.get("counters", {}).items())
-        if name.startswith("serve.")
-    }
-    if serve_counters:
-        print(
-            "serve: "
-            + ", ".join(f"{n.removeprefix('serve.')} {v}" for n, v in serve_counters.items())
-        )
+    counters = sorted(snapshot.get("counters", {}).items())
+    for label, prefix in (
+        ("goto cases", "transform.goto.case."),
+        ("goto eliminated", "transform.goto.eliminated."),
+        ("compile", "compile."),
+        ("serve", "serve."),
+    ):
+        matched = [
+            f"{name.removeprefix(prefix)} {value}"
+            for name, value in counters
+            if name.startswith(prefix)
+        ]
+        if matched:
+            print(f"{label}: " + ", ".join(matched))
     print(obs.report.render_summary(snapshot))
     return 0
 

@@ -175,9 +175,6 @@ class Scope:
             scope = scope.parent
         return None
 
-    def lookup_local(self, name: str) -> Symbol | None:
-        return self._symbols.get(name)
-
     def lookup_label(self, name: str) -> Symbol | None:
         scope: Scope | None = self
         while scope is not None:
@@ -186,9 +183,6 @@ class Scope:
                 return symbol
             scope = scope.parent
         return None
-
-    def lookup_label_local(self, name: str) -> Symbol | None:
-        return self._labels.get(name)
 
     def symbols(self) -> list[Symbol]:
         return list(self._symbols.values())

@@ -11,11 +11,13 @@ instead of failing wholesale:
 * **error taxonomy** (:class:`BudgetExceeded`, :class:`TraceAborted`,
   :class:`WorkerCrashed`) — classifiable failures replacing bare
   propagation, so sweeps attribute each failure to one task;
-* **crash isolation** (:func:`run_isolated`) — per-task process-pool
-  submission with timeouts, worker-death attribution from lock-free
-  start stamps, and bounded retries paced by jittered exponential
-  backoff (:class:`Backoff`); ``repro serve`` kills a stuck slot with
-  the same :func:`~repro.resilience.pool.kill_executor`;
+* **crash isolation** (:func:`run_isolated`) — tasks run on
+  single-process worker slots (:class:`~repro.resilience.pool.Slot`,
+  which ``repro serve`` runs its jobs on too), one started task per
+  slot, so a worker death or hang is charged to that task and only its
+  slot is replaced; per-task timeouts from the task's start, and
+  bounded retries paced by jittered exponential backoff
+  (:class:`Backoff`);
 * **degradation** (:func:`cap_depth`) — salvaging depth-capped partial
   execution trees when tracing blows its budget, so the debugger can
   still localize on partial information;

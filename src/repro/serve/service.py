@@ -21,11 +21,11 @@ Robustness mechanisms, in the order a job meets them:
    it waits is ``timed_out`` *before* it burns a worker; the deadline
    covers wait + execution, so a slow queue eats into execution budget,
    never past it.
-3. **slot-isolated workers** — every concurrency slot owns its own
-   single-process executor, so a worker death breaks exactly one slot
-   and is attributed to exactly one job (the permanent form of
-   :mod:`repro.resilience.pool`'s solo-phase disambiguation); the
-   slot's process is rebuilt and the job retried.
+3. **slot-isolated workers** — every concurrency slot is a
+   :class:`~repro.resilience.pool.Slot`, one worker process of its own
+   (the same slots mutation sweeps run on), so a worker death breaks
+   exactly one slot and is attributed to exactly one job; the slot's
+   process is replaced and the job retried.
 4. **retry with jittered exponential backoff** — infra failures
    (worker death, injected ``serve.worker`` faults, ``OSError``) are
    retried up to ``retries`` times via the shared
@@ -59,7 +59,7 @@ from repro import obs
 from repro.resilience import faults
 from repro.resilience.backoff import Backoff
 from repro.resilience.errors import FaultInjected
-from repro.resilience.pool import kill_executor
+from repro.resilience.pool import Slot
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import (
     CONTROL_OPS,
@@ -149,14 +149,6 @@ class _InfraFailure(Exception):
         self.crash = crash
 
 
-@dataclass
-class _Slot:
-    """One concurrency slot: the single-process executor it owns,
-    replaced by :meth:`DebugService._rebuild_slot` when it breaks."""
-
-    executor: ProcessPoolExecutor
-
-
 class DebugService:
     """See the module docstring. Construct, :meth:`start` inside a
     running event loop, :meth:`submit` jobs, :meth:`drain`, :meth:`close`."""
@@ -182,7 +174,7 @@ class DebugService:
             base_s=self.config.backoff_base_s,
             max_s=self.config.backoff_max_s,
         )
-        self._slots: asyncio.Queue[_Slot] | None = None
+        self._slots: asyncio.Queue[Slot] | None = None
         self._queued = 0
         self._active = 0
         self._draining = False
@@ -200,26 +192,17 @@ class DebugService:
         self._idle = asyncio.Event()
         self._idle.set()
         for _ in range(self.config.workers):
-            self._slots.put_nowait(_Slot(executor=self._make_process()))
+            self._slots.put_nowait(Slot(start=self._make_process))
         self._started = True
         return self
 
     def _make_process(self) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            initializer=worker_mod.init_worker,
-            initargs=(
-                self.config.testdb, self.config.spec_texts, faults.active(),
-            ),
+        """A slot's worker process, started afresh whenever the slot's
+        process is replaced."""
+        return Slot.process(
+            worker_mod.init_worker,
+            (self.config.testdb, self.config.spec_texts, faults.active()),
         )
-
-    def _rebuild_slot(self, slot: _Slot, kill: bool = False) -> None:
-        """Replace a broken/stuck slot executor with a fresh process."""
-        if kill:
-            kill_executor(slot.executor)
-        else:
-            slot.executor.shutdown(wait=False, cancel_futures=True)
-        slot.executor = self._make_process()
 
     async def drain(self, timeout_s: float | None = None) -> dict:
         """Stop admitting, finish every in-flight job, report. Raises
@@ -239,9 +222,7 @@ class DebugService:
         await self.drain()
         if self._slots is not None:
             while not self._slots.empty():
-                self._slots.get_nowait().executor.shutdown(
-                    wait=False, cancel_futures=True
-                )
+                self._slots.get_nowait().close()
         self._started = False
 
     @property
@@ -479,14 +460,14 @@ class DebugService:
 
     async def _run_on_slot(
         self,
-        slot: _Slot,
+        slot: Slot,
         payload: dict,
         attempt: int,
         remaining: float | None,
     ) -> dict:
         """One execution attempt on the job's slot. Raises
         :class:`_InfraFailure` for retryable failures, :class:`_StuckWorker`
-        when the worker outlives deadline + grace (slot is rebuilt)."""
+        when the worker outlives deadline + grace (its process is replaced)."""
         loop = asyncio.get_running_loop()
         backstop = (
             None if remaining is None else remaining + self.config.stuck_grace_s
@@ -497,13 +478,13 @@ class DebugService:
             )
             return await asyncio.wait_for(future, timeout=backstop)
         except BrokenProcessPool as error:
-            self._rebuild_slot(slot)
+            slot.replace()
             raise _InfraFailure(
                 f"worker process died: {error or 'BrokenProcessPool'}",
                 crash=True,
             ) from error
         except asyncio.TimeoutError:
-            self._rebuild_slot(slot, kill=True)
+            slot.replace(kill=True)
             raise _StuckWorker() from None
         except (FaultInjected, OSError) as error:
             raise _InfraFailure(

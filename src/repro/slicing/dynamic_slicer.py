@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 from repro import obs
 from repro.slicing.criteria import DynamicCriterion
-from repro.tracing.execution_tree import ExecNode, ExecutionTree
+from repro.tracing.execution_tree import ExecutionTree
 from repro.tracing.tracer import TraceResult
 
 
@@ -31,9 +31,6 @@ class DynamicSlice:
     occurrences: set[int] = field(default_factory=set)
     #: execution-tree node ids owning at least one slice occurrence
     relevant_node_ids: set[int] = field(default_factory=set)
-
-    def is_relevant(self, node: ExecNode) -> bool:
-        return node.node_id in self.relevant_node_ids
 
     def __len__(self) -> int:
         return len(self.occurrences)

@@ -38,10 +38,6 @@ class DriverProgram:
     unit: str
     cases: list[TestCase]
 
-    @property
-    def case_count(self) -> int:
-        return len(self.cases)
-
 
 def generate_driver(
     analysis: AnalyzedProgram, unit: str, cases: list[TestCase]

@@ -70,11 +70,6 @@ class ExecNode:
 
     # ------------------------------------------------------------------
 
-    @property
-    def is_unit(self) -> bool:
-        """Iteration nodes are sub-steps of a loop unit, not units themselves."""
-        return self.kind is not NodeKind.ITERATION
-
     def add_child(self, child: "ExecNode") -> None:
         child.parent = self
         self.children.append(child)

@@ -127,7 +127,8 @@ def generate_mutants(
     asked for.
     """
     with obs.span("mutants.generate"):
-        printed = PrintedProgram(analyze_source(source).program)
+        program = analyze_source(source).program
+        printed = PrintedProgram(program)
         # The base of every mutant is the printed text, which is what
         # the mutants are edits of: one cache entry if already canonical.
         base = analyze_source(printed.text)
@@ -138,6 +139,7 @@ def generate_mutants(
         # mutant, for a buggy host) could lead back to one of its own
         # mutants and close a cycle.
         forget_patch(printed.text)
+        _LAST_HOST[:] = (program, printed.text)
         mutants: list[Mutant] = []
         for node, owner, host, path in _sites(base.program):
             if units is not None and owner not in units:
@@ -305,12 +307,23 @@ def _debug_one_mutant_impl(
     )
 
 
+#: [program, printed text] of the host :func:`generate_mutants` printed
+#: last: the text its mutants' recipes hold as ``AnalysisPatch.printed``
+_LAST_HOST: list = [None, ""]
+
+
 def _printed_host(source: str) -> str:
     """``source`` as :func:`generate_mutants` prints it: the text the
     mutants are edits of. The reference oracle is built from it, so the
     host transform that serves the oracle is also the base of every
-    mutant's transform."""
-    return print_program(analyze_source(source).program)
+    mutant's transform. The text printed for the last host mutated is
+    reused while its analysis is cached; any other host is printed
+    again."""
+    program = analyze_source(source).program
+    last_program, printed = _LAST_HOST
+    if program is last_program:
+        return printed
+    return print_program(program)
 
 
 class _Coverage(ExecutionHooks):

@@ -281,12 +281,37 @@ def _hang_on_three(payload, attempt):
     return payload * 2
 
 
+def _sleep_payload(payload, attempt):
+    time.sleep(payload)
+    return payload
+
+
+def _sleep_hang_or_count(payload, attempt):
+    """``("sleep", s)`` sleeps ``s`` seconds, ``("hang", _)`` hangs, and
+    ``("count", path)`` appends a line to ``path`` as it starts, then
+    sleeps 1.5 s."""
+    kind, arg = payload
+    if kind == "sleep":
+        time.sleep(arg)
+    elif kind == "hang":
+        time.sleep(120)
+    else:
+        with open(arg, "a") as runs:
+            runs.write("run\n")
+        time.sleep(1.5)
+    return kind
+
+
 def _raising_initializer():
     raise ValueError("no host state")
 
 
 def _dying_initializer():
     os._exit(7)
+
+
+def _hanging_initializer():
+    time.sleep(120)
 
 
 @contextlib.contextmanager
@@ -381,6 +406,41 @@ class TestRunIsolated:
         with hard_timeout(60):
             results = run_isolated(
                 _ok_task, [1, 2, 3], workers=2, initializer=_dying_initializer
+            )
+        for task in results:
+            assert task.status == "infra_error"
+            assert task.retries == 0
+            assert "before any task started" in task.error
+
+    def test_timeout_counts_from_the_task_start_not_its_submission(self):
+        # One slot runs the three 1 s tasks back to back: the third
+        # starts 2 s after the call, past a clock started at submission.
+        with hard_timeout(60):
+            results = run_isolated(
+                _sleep_payload, [1, 1, 1], workers=1, timeout_s=1.5, retries=0
+            )
+        assert [task.status for task in results] == ["ok"] * 3
+
+    def test_hang_on_one_slot_leaves_another_slots_task_running(self, tmp_path):
+        # Slot 1 hangs from 0 s and is killed at 2 s; slot 0 runs the
+        # counting task from 1 s to 2.5 s, across the kill.
+        runs = tmp_path / "runs"
+        with hard_timeout(60):
+            results = run_isolated(
+                _sleep_hang_or_count,
+                [("sleep", 1.0), ("hang", None), ("count", str(runs))],
+                workers=2, timeout_s=2.0, retries=0,
+            )
+        assert [task.status for task in results] == ["ok", "timed_out", "ok"]
+        assert runs.read_text().splitlines() == ["run"]
+
+    def test_initializer_that_hangs_ends_the_call(self):
+        # No task ever starts: each stuck worker is killed after the
+        # timeout and counts as a break before any task started.
+        with hard_timeout(60):
+            results = run_isolated(
+                _ok_task, [1, 2], workers=1,
+                initializer=_hanging_initializer, timeout_s=0.5,
             )
         for task in results:
             assert task.status == "infra_error"
