@@ -19,10 +19,8 @@ traced), and each routine body only on its first call, so a trace pays
 for the code it executes. Compiled programs are cached in
 :mod:`repro.cache` (cache name ``"compile"``) by analysis identity,
 form, and loop-unit registration, so re-tracing one program (serve,
-replay) skips compilation. The cache is small — almost every sweep
-trace is of new text — and non-persistable: closures capture symbol
-objects and analysis tables by identity, so they are meaningless
-outside the process that built them.
+replay) skips compilation. The cache is small: almost every sweep
+trace is of new text.
 
 An analysis patched from another (a mutant's, see
 :func:`~repro.pascal.semantics.patched_analysis`) compiles as a patch
@@ -45,7 +43,7 @@ ENV_VAR = "REPRO_BACKEND"
 
 #: Enough to re-trace one program (serve, replay) without recompiling;
 #: sweep traces are almost all of new text and would only pile up here.
-_COMPILE_CACHE = cache.register("compile", max_entries=8, persistable=False)
+_COMPILE_CACHE = cache.register("compile", max_entries=8)
 
 
 def default_backend(traced: bool = True) -> str:

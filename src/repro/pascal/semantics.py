@@ -902,7 +902,7 @@ _ANALYSIS_CACHE = _cache.register("analysis")
 
 #: :class:`AnalysisPatch` recipes by the digest of the text each builds
 #: the analysis of; bounded, so a lost recipe only costs a parse
-_PATCHES = _cache.register("patch", max_entries=1024, persistable=False)
+_PATCHES = _cache.register("patch", max_entries=1024)
 
 
 def register_patch(source: str, patch: AnalysisPatch) -> None:

@@ -8,7 +8,8 @@ this package makes the report path durable and shared:
 
 * :class:`ShardedReportStore` — reports sharded by a stable hash of
   their unit across directories of checksummed, atomically-published
-  segment files (the crash-safety machinery of :mod:`repro.cache`),
+  segment files (the crash-safe file helpers of
+  :mod:`repro.store.segments`),
   with a per-shard LRU read cache and a write-ahead batch buffer that
   flushes on size, :meth:`~ShardedReportStore.flush`, or close. A
   drop-in :class:`~repro.tgen.lookup.ReportBackend` for

@@ -5,13 +5,13 @@ A *segment* is one immutable batch of test reports:
     <64 hex chars: SHA-256 of the payload>\\n
     <payload: the gadt-testdb/1 JSON document (repro.store.codec)>
 
-Segments reuse the crash-safety machinery of :mod:`repro.cache` —
-:func:`~repro.cache.seal_payload` / :func:`~repro.cache.open_sealed`
-framing, :func:`~repro.cache.atomic_write_bytes` publication, and
-:func:`~repro.cache.quarantine_file` for damage — so a crash mid-flush
-can never leave a shard unreadable: readers see whole segments or no
-segment, and a failed checksum moves the file aside as ``*.corrupt``
-and drops it from the shard (counted, never a crash).
+The crash-safe file helpers below — :func:`seal_payload` /
+:func:`open_sealed` framing, :func:`atomic_write_bytes` publication
+(also of the store's ``meta.json``), and :func:`quarantine_file` for
+damage — make sure a crash mid-flush can never leave a shard
+unreadable: readers see whole segments or no segment, and a failed
+checksum moves the file aside as ``*.corrupt`` and drops it from the
+shard (counted, never a crash).
 
 Fault-injection points (``docs/ROBUSTNESS.md``): ``store.read`` fires
 before a segment is parsed (``corrupt`` treats the bytes as damaged,
@@ -25,10 +25,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import os
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
-from repro.cache import atomic_write_bytes, open_sealed, quarantine_file, seal_payload
 from repro.resilience import faults
 from repro.store.codec import CodecError, dumps_reports, loads_reports
 from repro.tgen.reports import TestReport
@@ -38,6 +38,55 @@ from repro.tgen.reports import TestReport
 SEGMENT_SUFFIX = ".seg"
 
 _SEQUENCE = itertools.count()
+
+
+# ----------------------------------------------------------------------
+# crash-safe file machinery: checksummed payload framing, atomic
+# publication, and quarantine of damaged files.
+
+
+def seal_payload(payload: bytes) -> bytes:
+    """Frame ``payload`` for crash-safe storage: 64 hex chars of SHA-256
+    over the payload, a newline, then the payload itself."""
+    header = hashlib.sha256(payload).hexdigest().encode("ascii")
+    return header + b"\n" + payload
+
+
+def open_sealed(blob: bytes) -> bytes | None:
+    """The payload of a sealed ``blob``, or None when the checksum (or
+    the framing itself) does not verify — the caller quarantines."""
+    header, sep, payload = blob.partition(b"\n")
+    if not sep:
+        return None
+    if header.decode("ascii", "replace") != hashlib.sha256(payload).hexdigest():
+        return None
+    return payload
+
+
+def atomic_write_bytes(path: Path, blob: bytes) -> None:
+    """Publish ``blob`` at ``path`` atomically: a temp file in the same
+    directory, then ``os.replace`` — readers see the old file, the new
+    file, or nothing, never a torn write. OSErrors propagate after the
+    temp file is cleaned up."""
+    fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(blob)
+        os.replace(tmp_name, path)
+    except OSError:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+
+
+def quarantine_file(path: Path) -> None:
+    """Move a damaged file aside as ``<name>.corrupt`` (best effort)."""
+    try:
+        os.replace(path, path.with_suffix(".corrupt"))
+    except OSError:
+        pass
 
 
 class SegmentCorrupt(Exception):

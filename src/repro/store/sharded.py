@@ -33,9 +33,9 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from repro import obs
-from repro.cache import atomic_write_bytes
 from repro.store.segments import (
     SegmentCorrupt,
+    atomic_write_bytes,
     quarantined_names,
     read_segment,
     segment_names,

@@ -22,13 +22,14 @@ construct back to the exact original construct the user wrote
 A mutant does not go through the passes. Its text differs from its
 printed host's in one operator or one literal, and
 :func:`transform_source` builds its transform as a
-:class:`TransformPatch` of the host's: the source map finds each
-*image* of the faulty node in the transformed program, each image gets
-the fault's change, and everything else is shared. One pass decision
-reads operators and literals (whether ``if c then goto L; L:`` can be
-dropped, which needs ``c`` to be free of failing divisions); a fault
-that could flip it, and a mutant whose host analysis is not its
-recipe's base, take the pipeline.
+:class:`TransformPatch` of the cached transform of its recipe's base:
+the source map finds each *image* of the faulty node in the
+transformed program, each image gets the fault's change, and
+everything else is shared. One pass decision reads operators and
+literals (whether ``if c then goto L; L:`` can be dropped, which needs
+``c`` to be free of failing divisions); a fault that could flip it,
+and a mutant whose analysis its recipe did not build, take the
+pipeline.
 """
 
 from __future__ import annotations
@@ -256,7 +257,8 @@ class TransformPatch:
     (``base``) without running the pass pipeline.
 
     ``recipe`` is the :class:`~repro.pascal.semantics.AnalysisPatch`
-    that builds the variant's analysis from ``base.original_analysis``.
+    that builds the variant's analysis from the host's, and ``base`` is
+    the transform of ``recipe.base`` (see :func:`cached_transform`).
     The variant's transform is ``base`` with the fault's one-field
     change (an operator or a literal) made to each *image* of the faulty
     node, a transformed expression the source map traces back to it.
@@ -269,8 +271,6 @@ class TransformPatch:
         """Why ``original``, the variant's analysis, must go through the
         pass pipeline instead; None when :meth:`build` is exact."""
         recipe = self.recipe
-        if self.base.original_analysis is not recipe.base:
-            return "the host's transform is not of the recipe's base"
         if original.expr_type is not recipe.base.expr_type:
             return "the variant's analysis was not built by the recipe"
         if changes_purity(recipe.path, recipe.fault):
@@ -318,35 +318,42 @@ class TransformPatch:
         )
 
 
-#: content-addressed cache for :func:`transform_source` (see repro.cache).
-#: The whole pipeline (goto rounds, globals→params, loop units, each
-#: with a re-analysis) is by far the most
-#: expensive pure-function-of-source stage, so benchmarks and mutation
-#: sweeps that rebuild systems from identical text hit this hard.
+#: cache for :func:`cached_transform`, keyed by the identity of the
+#: analysis transformed (see repro.cache). The whole pipeline (goto
+#: rounds, globals→params, loop units, each with a re-analysis) is by
+#: far the most expensive stage, so benchmarks and mutation sweeps that
+#: rebuild systems from identical text hit this hard.
 _TRANSFORM_CACHE = _cache.register("transform")
 
 
 def transform_source(source: str, cached: bool = True) -> TransformedProgram:
-    """Parse, analyze, and transform Mini-Pascal source text.
+    """Parse, analyze, and transform Mini-Pascal source text: the
+    cached transform of ``analyze_source(source)``.
 
-    Results are cached keyed on the source hash;
-    identical text returns the identical :class:`TransformedProgram`
-    (safe: the pipeline output is never mutated — tracing and debugging
-    state lives in per-run objects). A text with a registered
-    :class:`~repro.pascal.semantics.AnalysisPatch` (a mutant) is
-    transformed as a :class:`TransformPatch` of its host's transform,
-    unless :meth:`TransformPatch.full_path_reason` says otherwise.
+    Identical text returns the identical :class:`TransformedProgram`
+    while its analysis is cached (safe: the pipeline output is never
+    mutated — tracing and debugging state lives in per-run objects).
     ``cached=False`` forces a parse and a run of the pass pipeline: the
     reference the patched transforms are tested against.
     """
     if not cached:
         return transform_program(analyze(parse_program(source)))
+    return cached_transform(analyze_source(source), source)
+
+
+def cached_transform(analysis: AnalyzedProgram, source: str) -> TransformedProgram:
+    """The transform of ``analysis``, the analysis of ``source``, cached
+    while the entry lives (it holds ``analysis`` as its
+    ``original_analysis``, so the id key cannot be reused). A text with
+    a registered :class:`~repro.pascal.semantics.AnalysisPatch` (a
+    mutant) is transformed as a :class:`TransformPatch` of the transform
+    of the recipe's base, unless :meth:`TransformPatch.full_path_reason`
+    says otherwise."""
 
     def build() -> TransformedProgram:
-        analysis = analyze_source(source)
         recipe = registered_patch(source)
         if recipe is not None:
-            host = transform_source(recipe.printed.text)
+            host = cached_transform(recipe.base, recipe.printed.text)
             patch = TransformPatch(host, recipe)
             if patch.full_path_reason(analysis) is None:
                 with obs.span("transform.patch"):
@@ -355,4 +362,4 @@ def transform_source(source: str, cached: bool = True) -> TransformedProgram:
                 return transformed
         return transform_program(analysis)
 
-    return _TRANSFORM_CACHE.get_or_build(_cache.source_key(source), build)
+    return _TRANSFORM_CACHE.get_or_build((id(analysis),), build)

@@ -60,6 +60,11 @@ class TestSegments:
         segment = read_segment(path)
         assert list(segment.reports) == reports
 
+    def test_publish_leaves_no_tmp_files(self, tmp_path):
+        write_segment(tmp_path, [report()])
+        assert len(segment_names(tmp_path)) == 1
+        assert not list(tmp_path.glob("*.tmp"))
+
     def test_damaged_segment_quarantined(self, tmp_path):
         path = write_segment(tmp_path, [report()])
         blob = bytearray(path.read_bytes())

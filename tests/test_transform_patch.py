@@ -33,6 +33,7 @@ from repro.tracing.tracer import trace_program
 from repro.transform.pipeline import (
     _TRANSFORM_CACHE,
     TransformPatch,
+    cached_transform,
     transform_source,
 )
 from repro.workloads.mutants import evaluate_mutants, generate_mutants
@@ -45,7 +46,7 @@ STEP_LIMIT = 20_000
 def _patch(mutant) -> TransformPatch:
     recipe = registered_patch(mutant.source)
     assert recipe is not None, mutant.description
-    return TransformPatch(transform_source(recipe.printed.text), recipe)
+    return TransformPatch(cached_transform(recipe.base, recipe.printed.text), recipe)
 
 
 def full_path_reason(mutant) -> str | None:
@@ -210,16 +211,37 @@ end.
                 assert built.original_analysis is analyze_source(mutant.source)
         assert sorted(imageless) == ["0 -> 1 in check", "> -> >= in check"]
 
-    def test_a_recipe_whose_base_was_evicted_takes_the_pipeline(self):
+    def test_a_recipe_whose_base_was_evicted_is_still_patched(self):
         source = generate_program(7)
-        mutant = generate_mutants(source)[3]
-        expected = canonical_transform(transform_source(mutant.source, cached=False))
-        # The analyses and transforms go, the recipes stay: the host is
-        # parsed again, so its transform is not of the recipe's base.
+        mutants = generate_mutants(source)
+        expected = [
+            canonical_transform(transform_source(m.source, cached=False)) for m in mutants
+        ]
+        # The analyses and transforms go, the recipes stay: each recipe
+        # keeps its base, whose transform is built once, by the pipeline.
         _ANALYSIS_CACHE.clear()
         _TRANSFORM_CACHE.clear()
-        assert full_path_reason(mutant) == "the host's transform is not of the recipe's base"
-        assert canonical_transform(transform_source(mutant.source)) == expected
+        with observed():
+            built = [transform_source(m.source) for m in mutants]
+            snapshot = obs.snapshot()
+        assert snapshot["counters"]["transform.patched"] == len(mutants)
+        assert snapshot["histograms"]["transform.pipeline"]["count"] == 1
+        assert [canonical_transform(t) for t in built] == expected
+
+    def test_a_rebuilt_analysis_gets_a_transform_of_its_own(self):
+        source = generate_program(7)
+        cache.clear_caches()
+        printed = registered_patch(generate_mutants(source)[0].source).printed.text
+        transform_source(printed)
+        _ANALYSIS_CACHE.discard(cache.source_key(printed))
+        assert transform_source(printed).original_analysis is analyze_source(printed)
+        # The new recipes are of the rebuilt analysis, and patch its transform.
+        mutants = generate_mutants(source)
+        with observed():
+            for mutant in mutants:
+                transform_source(mutant.source)
+            counters = obs.snapshot()["counters"]
+        assert counters["transform.patched"] == len(mutants)
 
     def test_a_mutant_parsed_before_its_recipe_takes_the_pipeline(self):
         source = generate_program(8)
