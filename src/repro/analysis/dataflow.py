@@ -7,6 +7,7 @@ Weiser-style slicing and the loop-unit extraction need.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import CFG, CFGNode, NodeKind
@@ -98,10 +99,10 @@ def reaching_definitions(
         node: set(gen[node]) for node in cfg.nodes
     }
 
-    worklist = cfg.reverse_postorder()
+    worklist = deque(cfg.reverse_postorder())
     pending = set(worklist)
     while worklist:
-        node = worklist.pop(0)
+        node = worklist.popleft()
         pending.discard(node)
         new_in: set[tuple[Symbol, CFGNode]] = set()
         for pred in cfg.predecessors[node]:
@@ -142,10 +143,10 @@ def live_variables(
     live_in: dict[CFGNode, set[Symbol]] = {node: set() for node in cfg.nodes}
     live_out: dict[CFGNode, set[Symbol]] = {node: set() for node in cfg.nodes}
 
-    worklist = list(reversed(cfg.reverse_postorder()))
+    worklist = deque(reversed(cfg.reverse_postorder()))
     pending = set(worklist)
     while worklist:
-        node = worklist.pop(0)
+        node = worklist.popleft()
         pending.discard(node)
         new_out: set[Symbol] = set()
         for succ in cfg.successors[node]:

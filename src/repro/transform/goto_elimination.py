@@ -34,17 +34,30 @@ construct the paper's method excludes (``*_into_block`` and
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
 from repro.pascal.symbols import Symbol, SymbolKind
-from repro.transform.goto_taxonomy import GotoCase, carried_gotos, classify_routine
+from repro.transform.goto_taxonomy import (
+    GotoCase,
+    TaxonomyReport,
+    carried_gotos,
+    classify_program,
+)
 from repro.transform.mapping import SourceMap
 from repro.transform.rewriter import Rewriter
 
 
 @dataclass
 class GotoEliminationResult:
+    """What one pass made of its input program.
+
+    A pass that would rewrite nothing returns its input program itself,
+    uncopied, with an empty source map and ``changed`` False; a caller
+    tells that case apart by ``program is analysis.program``.
+    """
+
     program: ast.Program
     source_map: SourceMap
     changed: bool
@@ -55,13 +68,56 @@ class GotoEliminationResult:
     eliminated: dict[str, int] = field(default_factory=dict)
 
 
-def _classification_map(analysis: AnalyzedProgram) -> dict[int, GotoCase]:
-    """goto node id -> taxonomy case, for every goto in the program."""
-    cases: dict[int, GotoCase] = {}
-    for info in analysis.all_routines():
-        for pair in classify_routine(analysis, info):
-            cases[pair.goto_id] = pair.case
-    return cases
+def _unchanged(
+    analysis: AnalyzedProgram, warnings: list[str] | None = None
+) -> GotoEliminationResult:
+    """The result of a pass with nothing to rewrite: its input program."""
+    return GotoEliminationResult(
+        program=analysis.program,
+        source_map=SourceMap(),
+        changed=False,
+        warnings=warnings or [],
+    )
+
+
+class _GotoRewriter(Rewriter):
+    """A pass's rewriter: counts what it eliminates per taxonomy case.
+
+    ``report`` is the classification of ``analysis`` when the caller
+    already has it; otherwise the program is classified on the first
+    read of :attr:`_cases`.
+    """
+
+    def __init__(
+        self, analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+    ):
+        super().__init__(analysis)
+        self.changed = False
+        self.warnings: list[str] = []
+        self.eliminated: dict[str, int] = {}
+        #: routine name -> exitcond parameter name (global-goto rounds)
+        self.exit_params: dict[str, str] = {}
+        self._report = report
+
+    @cached_property
+    def _cases(self) -> dict[int, GotoCase]:
+        """goto node id -> taxonomy case, for every goto in the program."""
+        report = self._report
+        if report is None:
+            report = classify_program(self.analysis)
+        return {pair.goto_id: pair.case for pair in report.pairs}
+
+    def result(self) -> GotoEliminationResult:
+        """Rewrite the whole program."""
+        program = self.rewrite_program()
+        return GotoEliminationResult(
+            program=program,
+            source_map=self.source_map,
+            changed=self.changed,
+            warnings=self.warnings,
+            exit_params=self.exit_params,
+            eliminated=self.eliminated,
+        )
 
 
 # ----------------------------------------------------------------------
@@ -80,31 +136,51 @@ def _fresh_label(analysis: AnalyzedProgram, reserved: set[str]) -> str:
     return str(candidate)
 
 
-def _labels_defined_in(stmt: ast.Stmt) -> set[str]:
-    return {
-        child.label
-        for child in ast.iter_statements(stmt)
-        if child.label is not None
-    }
+_LOOPS = (ast.While, ast.Repeat, ast.For)
 
 
-def _gotos_in(stmt: ast.Stmt) -> list[ast.Goto]:
+def _escaping_gotos(loop: ast.While | ast.Repeat | ast.For) -> list[ast.Goto]:
+    """Gotos inside the loop's body whose target lies outside it.
+
+    Global gotos are included, exactly as in the paper: "If the label
+    is declared outside the procedure surrounding the while-statement,
+    then the new global goto is handled by a later transformation" —
+    the loop pass moves the jump after the loop; the global-goto pass
+    then converts the moved jump into an exit parameter.
+    """
+    body = loop.body if isinstance(loop, ast.Repeat) else [loop.body]
+    inside = [child for stmt in body for child in ast.iter_statements(stmt)]
+    labels = {child.label for child in inside if child.label is not None}
     return [
-        child for child in ast.iter_statements(stmt) if isinstance(child, ast.Goto)
+        child
+        for child in inside
+        if isinstance(child, ast.Goto) and child.target not in labels
     ]
 
 
-def _highest_gadt_counter(program: ast.Program) -> int:
+def _has_escaping_goto(analysis: AnalyzedProgram) -> bool:
+    """Whether any loop holds an escaping goto: the loop pass rewrites
+    exactly those loops, so without one it has nothing to do."""
+    return any(
+        isinstance(stmt, _LOOPS) and _escaping_gotos(stmt)
+        for info in analysis.all_routines()
+        if info.local_gotos or info.global_gotos
+        for stmt in ast.iter_statements(info.block.body)
+    )
+
+
+def _highest_gadt_counter(analysis: AnalyzedProgram) -> int:
     """Highest N among existing gadt_leave_N / gadt_limit_N declarations,
-    so repeated passes never collide with their own earlier output."""
+    so repeated passes never collide with their own earlier output.
+    Variables are declared only in the blocks of the program and its
+    routines, so those are all it reads."""
     highest = 0
-    for node in program.walk():
-        if isinstance(node, ast.VarDecl) and node.name.startswith(
-            ("gadt_leave_", "gadt_limit_")
-        ):
-            suffix = node.name.rsplit("_", 1)[-1]
-            if suffix.isdigit():
-                highest = max(highest, int(suffix))
+    for info in analysis.all_routines():
+        for var in info.block.variables:
+            if var.name.startswith(("gadt_leave_", "gadt_limit_")):
+                suffix = var.name.rsplit("_", 1)[-1]
+                if suffix.isdigit():
+                    highest = max(highest, int(suffix))
     return highest
 
 
@@ -112,17 +188,15 @@ def _highest_gadt_counter(program: ast.Program) -> int:
 # goto-out-of-loop
 
 
-class _LoopGotoRewriter(Rewriter):
+class _LoopGotoRewriter(_GotoRewriter):
     """Rewrites loops containing gotos that target labels outside the loop."""
 
-    def __init__(self, analysis: AnalyzedProgram):
-        super().__init__(analysis)
-        self.changed = False
-        self.warnings: list[str] = []
-        self.eliminated: dict[str, int] = {}
-        self._cases = _classification_map(analysis)
+    def __init__(
+        self, analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+    ):
+        super().__init__(analysis, report)
         self._reserved_labels: set[str] = set()
-        self._counter = _highest_gadt_counter(analysis.program)
+        self._counter = _highest_gadt_counter(analysis)
         #: declarations to add per original block node id
         self._new_vars: dict[int, list[ast.VarDecl]] = {}
         self._new_labels: dict[int, list[ast.LabelDecl]] = {}
@@ -154,22 +228,6 @@ class _LoopGotoRewriter(Rewriter):
         if label is not None:
             self.synthesize(label)
             self._new_labels.setdefault(block.node_id, []).append(label)
-
-    # -- loop analysis
-
-    def _escaping_gotos(self, loop_body: ast.Stmt) -> list[ast.Goto]:
-        """Gotos inside the loop whose target lies outside it.
-
-        Global gotos are included, exactly as in the paper: "If the label
-        is declared outside the procedure surrounding the while-statement,
-        then the new global goto is handled by a later transformation" —
-        this pass moves the jump after the loop; the global-goto pass then
-        converts the moved jump into an exit parameter.
-        """
-        inside = _labels_defined_in(loop_body)
-        return [
-            goto for goto in _gotos_in(loop_body) if goto.target not in inside
-        ]
 
     # -- synthesized pieces
 
@@ -384,53 +442,43 @@ class _LoopGotoRewriter(Rewriter):
             return replacements[stmt.node_id]
         return self.default_rewrite_stmt(stmt)
 
-    def rewrite_while(self, stmt: ast.While) -> ast.Stmt | list[ast.Stmt]:
-        escaping = self._escaping_gotos(stmt.body)
+    def _rewrite_loop(
+        self, stmt: ast.While | ast.Repeat | ast.For
+    ) -> ast.Stmt | list[ast.Stmt]:
+        escaping = _escaping_gotos(stmt)
         if escaping:
             return self._rewrite_loop_with_escapes(stmt, escaping)
         return self.default_rewrite_stmt(stmt)
 
-    def rewrite_repeat(self, stmt: ast.Repeat) -> ast.Stmt | list[ast.Stmt]:
-        body = ast.Compound(statements=list(stmt.body))
-        escaping = self._escaping_gotos(body)
-        if escaping:
-            return self._rewrite_loop_with_escapes(stmt, escaping)
-        return self.default_rewrite_stmt(stmt)
-
-    def rewrite_for(self, stmt: ast.For) -> ast.Stmt | list[ast.Stmt]:
-        escaping = self._escaping_gotos(stmt.body)
-        if escaping:
-            return self._rewrite_loop_with_escapes(stmt, escaping)
-        return self.default_rewrite_stmt(stmt)
+    rewrite_while = rewrite_repeat = rewrite_for = _rewrite_loop
 
 
-def eliminate_loop_gotos(analysis: AnalyzedProgram) -> GotoEliminationResult:
-    """Rewrite gotos that jump out of loops into flag-guarded exits."""
-    rewriter = _LoopGotoRewriter(analysis)
-    program = rewriter.rewrite_program()
-    return GotoEliminationResult(
-        program=program,
-        source_map=rewriter.source_map,
-        changed=rewriter.changed,
-        warnings=rewriter.warnings,
-        eliminated=rewriter.eliminated,
-    )
+def eliminate_loop_gotos(
+    analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+) -> GotoEliminationResult:
+    """Rewrite gotos that jump out of loops into flag-guarded exits.
+
+    ``report``, the classification of ``analysis``, saves classifying it
+    again. A program whose loops hold no escaping goto is returned
+    uncopied."""
+    if not _has_escaping_goto(analysis):
+        return _unchanged(analysis)
+    return _LoopGotoRewriter(analysis, report).result()
 
 
 # ----------------------------------------------------------------------
 # global gotos
 
 
-class _GlobalGotoRewriter(Rewriter):
-    """One round of breaking global gotos into exit parameters."""
+class _GlobalGotoRewriter(_GotoRewriter):
+    """One round of breaking global gotos into exit parameters. Its
+    plans are made on construction: with none, ``changed`` is False and
+    the round has nothing to rewrite."""
 
-    def __init__(self, analysis: AnalyzedProgram):
-        super().__init__(analysis)
-        self.changed = False
-        self.warnings: list[str] = []
-        self.exit_params: dict[str, str] = {}
-        self.eliminated: dict[str, int] = {}
-        self._cases = _classification_map(analysis)
+    def __init__(
+        self, analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+    ):
+        super().__init__(analysis, report)
         self._reserved_labels: set[str] = set()
         #: affected routine symbol -> (param name, exit label, {label name -> code})
         self._plans: dict[Symbol, tuple[str, str, dict[str, int]]] = {}
@@ -615,22 +663,21 @@ class _GlobalGotoRewriter(Rewriter):
         self.source_map.record_synthesized(node)
 
 
-def break_global_gotos(analysis: AnalyzedProgram) -> GotoEliminationResult:
+def break_global_gotos(
+    analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+) -> GotoEliminationResult:
     """One round of the global-goto transformation (paper §6).
 
     Run repeatedly (re-analyzing between rounds) until ``changed`` is
-    False; each round peels one level of goto nesting.
+    False; each round peels one level of goto nesting. ``report``, the
+    classification of ``analysis``, saves classifying it again. A round
+    with no routine to rewrite returns its input uncopied, with the
+    warnings about the routines it cannot rewrite.
     """
-    rewriter = _GlobalGotoRewriter(analysis)
-    program = rewriter.rewrite_program()
-    return GotoEliminationResult(
-        program=program,
-        source_map=rewriter.source_map,
-        changed=rewriter.changed,
-        warnings=rewriter.warnings,
-        exit_params=rewriter.exit_params,
-        eliminated=rewriter.eliminated,
-    )
+    rewriter = _GlobalGotoRewriter(analysis, report)
+    if not rewriter.changed:
+        return _unchanged(analysis, rewriter.warnings)
+    return rewriter.result()
 
 
 # ----------------------------------------------------------------------
@@ -679,7 +726,7 @@ def changes_purity(path: tuple, fault: ast.Expr) -> bool:
     )
 
 
-class _StructuredGotoRewriter(Rewriter):
+class _StructuredGotoRewriter(_GotoRewriter):
     """Reduces same-block gotos to structured control flow.
 
     Two reductions, both driven by statement-list scanning:
@@ -696,10 +743,6 @@ class _StructuredGotoRewriter(Rewriter):
 
     def __init__(self, analysis: AnalyzedProgram):
         super().__init__(analysis)
-        self.changed = False
-        self.warnings: list[str] = []
-        self.eliminated: dict[str, int] = {}
-        self._cases = _classification_map(analysis)
         #: label symbol id -> total gotos targeting it, program-wide
         self._target_counts: dict[int, int] = {}
         for goto_id, symbol in analysis.goto_target.items():
@@ -919,14 +962,22 @@ class _StructuredGotoRewriter(Rewriter):
         return [loop], goto_at + 1
 
 
-def reduce_structured_gotos(analysis: AnalyzedProgram) -> GotoEliminationResult:
-    """Rewrite same-block gotos into structured conditionals and loops."""
-    rewriter = _StructuredGotoRewriter(analysis)
-    program = rewriter.rewrite_program()
-    return GotoEliminationResult(
-        program=program,
-        source_map=rewriter.source_map,
-        changed=rewriter.changed,
-        warnings=rewriter.warnings,
-        eliminated=rewriter.eliminated,
-    )
+#: the only cases :func:`reduce_structured_gotos` rewrites
+_SAME_BLOCK_CASES = frozenset(
+    {GotoCase.FORWARD_SAME_BLOCK, GotoCase.BACKWARD_SAME_BLOCK}
+)
+
+
+def reduce_structured_gotos(
+    analysis: AnalyzedProgram, report: TaxonomyReport | None = None
+) -> GotoEliminationResult:
+    """Rewrite same-block gotos into structured conditionals and loops.
+
+    ``report`` is the classification of ``analysis`` (built here when
+    not given). A program without a same-block goto is returned
+    uncopied."""
+    if report is None:
+        report = classify_program(analysis)
+    if not any(pair.case in _SAME_BLOCK_CASES for pair in report.pairs):
+        return _unchanged(analysis)
+    return _StructuredGotoRewriter(analysis).result()

@@ -20,7 +20,7 @@ children in the execution tree.
 from __future__ import annotations
 
 from repro.analysis.cfg import CFG, CFGNode, NodeKind, build_cfg
-from repro.analysis.dataflow import all_def_use, live_variables
+from repro.analysis.dataflow import live_variables
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
@@ -59,8 +59,8 @@ def _units_of_routine(
         return {}
 
     cfg = build_cfg(info, analysis)
-    def_use = all_def_use(cfg, effects)
     live = live_variables(cfg, effects)
+    def_use = live.def_use
 
     registry: dict[int, LoopUnitInfo] = {}
     counter = 0

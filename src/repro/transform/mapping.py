@@ -61,10 +61,3 @@ class SourceMap:
                 combined.synthesized.add(new_id)
         combined.synthesized |= self.synthesized
         return combined
-
-    @classmethod
-    def identity(cls, program: ast.Program) -> "SourceMap":
-        identity_map = cls()
-        for node in program.walk():
-            identity_map.to_original[node.node_id] = node.node_id
-        return identity_map

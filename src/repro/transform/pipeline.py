@@ -14,10 +14,14 @@ Order of passes:
    artifact, built only when something reads it. The tracer attaches to
    interpreter hooks and traces the transformed program directly.
 
-Every pass re-analyzes its output and composes its source map with the
-accumulated one, so the pipeline result can map any transformed
-construct back to the exact original construct the user wrote
-(transparent debugging, paper §6.1).
+Every pass that rewrites something re-analyzes its output and composes
+its source map with the accumulated one, so the pipeline result can map
+any transformed construct back to the exact original construct the user
+wrote (transparent debugging, paper §6.1). A goto pass with nothing to
+rewrite returns its input program uncopied, and the pipeline moves on
+with the analysis it has: no copy, no map, no re-analysis. The
+globals-to-parameters pass always copies, so the transformed program
+never shares a node with the user's.
 
 A mutant does not go through the passes. Its text differs from its
 printed host's in one operator or one literal, and
@@ -54,12 +58,13 @@ from repro.pascal.semantics import (
 from repro.tracing.tracer import LoopUnitInfo
 from repro.transform.globals_to_params import convert_globals_to_params
 from repro.transform.goto_elimination import (
+    GotoEliminationResult,
     break_global_gotos,
     changes_purity,
     eliminate_loop_gotos,
     reduce_structured_gotos,
 )
-from repro.transform.goto_taxonomy import classify_program
+from repro.transform.goto_taxonomy import TaxonomyReport, classify_program
 from repro.transform.instrument import InstrumentResult, instrument_program
 from repro.transform.loop_units import compute_loop_units
 from repro.transform.mapping import SourceMap
@@ -160,34 +165,44 @@ def transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
         return _transform_program(analysis)
 
 
+def _compose(step: SourceMap, accumulated: SourceMap | None) -> SourceMap:
+    """``step``'s map composed with the passes' before it, if any."""
+    return step if accumulated is None else step.compose(accumulated)
+
+
 def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     original = analysis
     warnings: list[str] = []
-    accumulated = SourceMap.identity(analysis.program)
-    goto_cases = classify_program(analysis).counts()
+    #: composed map of the passes so far; None until one rewrites something
+    accumulated: SourceMap | None = None
+    #: the classification of ``analysis``, while it is the original one
+    report: TaxonomyReport | None = classify_program(analysis)
+    goto_cases = report.counts()
     goto_eliminated: dict[str, int] = {}
+    skipped = 0
 
-    def _tally(eliminated: dict[str, int]) -> None:
-        for case, count in eliminated.items():
+    def _apply(result: GotoEliminationResult) -> None:
+        """Move on to ``result``'s program, unless it is the input."""
+        nonlocal analysis, accumulated, report, skipped
+        warnings.extend(result.warnings)
+        if result.program is analysis.program:
+            skipped += 1
+            return
+        for case, count in result.eliminated.items():
             goto_eliminated[case] = goto_eliminated.get(case, 0) + count
+        accumulated = _compose(result.source_map, accumulated)
+        analysis = analyze(result.program)
+        report = None
 
     # 1. same-block gotos become structured control flow. Runs before the
     #    loop pass: a backward goto reduced to repeat..until may contain
     #    escaping gotos the loop pass then flag-guards.
     with obs.span("transform.pass.structured_gotos"):
-        structured = reduce_structured_gotos(analysis)
-        warnings.extend(structured.warnings)
-        _tally(structured.eliminated)
-        accumulated = structured.source_map.compose(accumulated)
-        analysis = analyze(structured.program)
+        _apply(reduce_structured_gotos(analysis, report))
 
     # 2. gotos out of loops
     with obs.span("transform.pass.loop_gotos"):
-        loop_goto = eliminate_loop_gotos(analysis)
-        warnings.extend(loop_goto.warnings)
-        _tally(loop_goto.eliminated)
-        accumulated = loop_goto.source_map.compose(accumulated)
-        analysis = analyze(loop_goto.program)
+        _apply(eliminate_loop_gotos(analysis, report))
 
     # 3. global gotos, to a fixpoint. Each round may synthesize dispatch
     #    gotos inside loop bodies (a call in a loop whose callee exits
@@ -195,20 +210,12 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     exit_params: dict[str, str] = {}
     with obs.span("transform.pass.global_gotos"):
         for _round in range(MAX_GOTO_ROUNDS):
-            round_result = break_global_gotos(analysis)
-            warnings.extend(round_result.warnings)
+            round_result = break_global_gotos(analysis, report)
+            _apply(round_result)
             if not round_result.changed:
                 break
             exit_params.update(round_result.exit_params)
-            _tally(round_result.eliminated)
-            accumulated = round_result.source_map.compose(accumulated)
-            analysis = analyze(round_result.program)
-            loop_round = eliminate_loop_gotos(analysis)
-            if loop_round.changed:
-                warnings.extend(loop_round.warnings)
-                _tally(loop_round.eliminated)
-                accumulated = loop_round.source_map.compose(accumulated)
-                analysis = analyze(loop_round.program)
+            _apply(eliminate_loop_gotos(analysis))
         else:
             warnings.append(
                 f"global gotos remained after {MAX_GOTO_ROUNDS} rounds"
@@ -219,7 +226,7 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
         side_effects = analyze_side_effects(analysis)
         globals_result = convert_globals_to_params(analysis, side_effects)
         warnings.extend(globals_result.warnings)
-        accumulated = globals_result.source_map.compose(accumulated)
+        accumulated = _compose(globals_result.source_map, accumulated)
         analysis = analyze(globals_result.program)
         side_effects = analyze_side_effects(analysis)
 
@@ -231,6 +238,7 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
         obs.add("transform.programs")
         obs.add("transform.loop_units", len(loop_units))
         obs.add("transform.warnings", len(warnings))
+        obs.add("transform.passes_skipped", skipped)
         for case, count in goto_cases.items():
             obs.add(f"transform.goto.case.{case}", count)
         for case, count in goto_eliminated.items():

@@ -5,6 +5,9 @@ equal whatever ids their nodes got."""
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 from repro.pascal import ast_nodes as ast
 from repro.pascal.pretty import print_program
 
@@ -224,3 +227,33 @@ def canonical_transform(transformed) -> dict:
         instrumented.source_map, _positions(instrumented.program), original_at
     )
     return form
+
+
+#: the parts of :func:`canonical_transform` a transform digest covers:
+#: what the pass pipeline decided, not how the analysis stores it
+DIGEST_PARTS = (
+    "text",
+    "source_map",
+    "loop_units",
+    "added_params",
+    "exit_params",
+    "warnings",
+    "goto_cases",
+    "goto_eliminated",
+)
+
+
+def transform_digest(transformed) -> str:
+    """A SHA-256 over the :data:`DIGEST_PARTS` of a transform's
+    canonical form: the printed transformed program, its source map by
+    positions, the loop units, the parameters the passes added, the
+    warnings and the goto counts. Each part is a list in a fixed order
+    or a dict encoded with sorted keys, so the digest does not depend
+    on set or hash ordering."""
+    form = canonical_transform(transformed)
+    encoded = json.dumps(
+        {part: form[part] for part in DIGEST_PARTS},
+        sort_keys=True,
+        separators=(",", ":"),
+    )
+    return hashlib.sha256(encoded.encode()).hexdigest()

@@ -63,6 +63,35 @@ class TestLoopGotos:
         for goto in main.local_gotos:
             assert goto.target in ("9", "9000")
 
+    def test_fresh_flags_number_past_existing_ones(self):
+        # a flag left by an earlier round, declared in a nested routine
+        source = """
+        program t;
+        label 9;
+        var i: integer;
+        procedure p;
+        var gadt_leave_3: integer;
+        begin gadt_leave_3 := 0 end;
+        begin
+          i := 0;
+          while i < 10 do begin
+            i := i + 1;
+            if i > 3 then goto 9
+          end;
+          9: writeln(i)
+        end.
+        """
+        result = eliminate_loop_gotos(analyze_source(source))
+        assert "while (i < 10) and (gadt_leave_4 = 0) do" in print_program(
+            result.program
+        )
+
+    def test_loops_without_escapes_return_the_input(self):
+        analysis = analyze_source(self.ESCAPE_REPEAT.replace("goto 9", "i := 4"))
+        result = eliminate_loop_gotos(analysis)
+        assert result.program is analysis.program
+        assert not result.changed and not result.source_map.to_original
+
     ESCAPE_REPEAT = """
     program t;
     label 9;

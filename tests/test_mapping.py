@@ -25,12 +25,6 @@ class TestBasics:
         assert source_map.is_synthesized(node.node_id)
         assert source_map.original_id(node.node_id) is None
 
-    def test_identity_covers_whole_program(self):
-        program = parse_program("program p; var x: integer; begin x := 1 end.")
-        identity = SourceMap.identity(program)
-        for node in program.walk():
-            assert identity.original_id(node.node_id) == node.node_id
-
 
 class TestComposition:
     def test_chain_composes(self):

@@ -356,6 +356,16 @@ class TestPipelineInstrumentation:
         assert snap["counters"]["pascal.analyze.patched"] == len(mutants)
         assert snap["histograms"]["pascal.parse"]["count"] == 1
 
+    def test_goto_passes_with_nothing_to_rewrite_are_counted(self, observing):
+        from repro.transform.pipeline import transform_source
+
+        # Figure 4 has no goto: the structured, loop-goto and global-goto
+        # passes each return their input uncopied
+        transform_source(FIGURE4_SOURCE, cached=False)
+        counters = obs.snapshot(include_cache=False)["counters"]
+        assert counters["transform.programs"] == 1
+        assert counters["transform.passes_skipped"] == 3
+
     def test_front_half_spans_on_lex_error(self, observing):
         from repro.pascal.errors import LexError
         from repro.pascal.parser import parse_program
