@@ -13,7 +13,10 @@ For every seed the checker verifies, on the program emitted by
    ``dq-optimal`` asks no more questions than classic divide-and-query
    (Insa & Silva's optimality claim). The mutant's run, on an analysis
    patched from its host's, must also match a run on a parse of its
-   text.
+   text;
+4. **blame** — debugged as a mutant sweep debugs it (the transformed
+   mutant against ``ReferenceOracle.from_source`` of the printed host),
+   every strategy blames the mutated unit or one of its loop units.
 
 Run it directly for the full parallel sweep (crash-isolated via
 ``repro.resilience.pool``)::
@@ -36,7 +39,7 @@ from pathlib import Path
 from random import Random
 
 from repro.compile import BACKENDS
-from repro.core import AlgorithmicDebugger, ReferenceOracle
+from repro.core import AlgorithmicDebugger, GadtSystem, ReferenceOracle
 from repro.core.strategies import available_strategies
 from repro.pascal import Interpreter, analyze_source, print_program, run_source
 from repro.resilience.pool import run_isolated
@@ -184,6 +187,27 @@ def _check_strategies(seed: int, source: str, baseline: str) -> dict:
             f"dq-optimal asked {questions['dq-optimal']} > "
             f"divide-and-query {questions['divide-and-query']} "
             f"on {mutant.description!r}",
+            mutant.source,
+        )
+    # The mutant debugged as a mutant sweep debugs it: transformed,
+    # against a reference oracle built from the printed host, so
+    # routines that escape by a global goto answer through their exit
+    # parameters. Each strategy must blame the mutated unit or one of
+    # its loop units.
+    system = GadtSystem.from_source(mutant.source, step_limit=STEP_LIMIT)
+    host_oracle = ReferenceOracle.from_source(
+        print_program(analyze_source(source).program), step_limit=STEP_LIMIT
+    )
+    wrong = {}
+    for strategy in available_strategies():
+        unit = system.debugger(host_oracle, strategy=strategy).debug().bug_unit
+        if unit is None or (unit != mutant.unit and not unit.startswith(mutant.unit + "$")):
+            wrong[strategy] = unit
+    if wrong:
+        raise CorpusCheckFailure(
+            seed,
+            "blame",
+            f"{mutant.description!r} is in {mutant.unit}, blamed on {wrong}",
             mutant.source,
         )
     return {

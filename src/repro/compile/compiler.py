@@ -65,7 +65,7 @@ from repro.pascal.values import ArrayValue, UNDEFINED, copy_value, format_value
 from repro.compile import ops
 from repro.compile.emit import LoopPlan, RoutinePlan, enter_stmt
 from repro.compile.runtime import CCell, CFrame, adapt_value, tick
-from repro.tracing.tracer import activation_symbols
+from repro.tracing.tracer import activation_symbols, loop_symbols
 
 
 class CompiledProgram:
@@ -345,9 +345,11 @@ class Compiler:
             result_slot=(
                 None if symbols.result is None else layout.slot_of[symbols.result]
             ),
+            exit_accessor=symbols.exit and self._safe_accessor(callee_ctx, symbols.exit),
         )
 
     def _loop_plan(self, ctx: _Ctx, unit) -> LoopPlan:
+        unit = loop_symbols(self.analysis, unit)
         return LoopPlan(
             stmt_id=unit.stmt_id,
             name=unit.name,

@@ -35,6 +35,7 @@ from repro.pascal.interpreter import (
 )
 from repro.pascal.values import copy_value, UNDEFINED
 from repro.tracing.dynamic_deps import DynamicDependenceGraph, Occurrence
+from repro.tracing.tracer import decode_exit
 from repro.tracing.execution_tree import (
     Binding,
     BindingMode,
@@ -54,15 +55,18 @@ class RoutinePlan:
         "input_entries",
         "output_entries",
         "result_slot",
+        "exit_accessor",
     )
 
-    def __init__(self, unit_name, routine, input_entries, output_entries, result_slot):
+    def __init__(self, unit_name, routine, input_entries, output_entries, result_slot, exit_accessor):
         self.unit_name = unit_name
         self.routine = routine
         #: ``(name, is_global, accessor-or-None)`` in binding order
         self.input_entries = input_entries
         self.output_entries = output_entries
         self.result_slot = result_slot
+        #: the exit parameter's accessor, None for a routine without one
+        self.exit_accessor = exit_accessor
 
 
 class LoopPlan:
@@ -253,9 +257,9 @@ class TraceSession(Runtime):
         return parent
 
     def exit_call(self, plan: RoutinePlan, frame, prev: ExecNode, via_goto) -> None:
-        """Close the current CALL activation: snapshot outputs, record
-        their writer sets, restore the caller's node, and attribute the
-        function-result read to the caller's occurrence."""
+        """Close the current CALL activation: snapshot outputs and exit,
+        record their writer sets, restore the caller's node, and
+        attribute the function-result read to the caller's occurrence."""
         if self.prof is not None:
             self.prof.exit_unit()
         node = self.cur_node
@@ -284,6 +288,9 @@ class TraceSession(Runtime):
                 set(writers.values()) if writers else set()
             )
         node.outputs = outputs
+        if plan.exit_accessor is not None:
+            code = plan.exit_accessor(self, frame).value
+            node.via_goto = decode_exit(code) or node.via_goto
         self.cur_node = prev
         if result_slot is not None:
             # Reading the function result happens at the caller's occurrence.

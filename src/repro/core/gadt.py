@@ -97,7 +97,6 @@ class GadtSystem:
         source: str,
         program_inputs: list[object] | None = None,
         step_limit: int = 2_000_000,
-        present_original_view: bool = True,
         tolerate_errors: bool = False,
         budget=None,
         degrade: bool = False,
@@ -106,12 +105,11 @@ class GadtSystem:
     ) -> "GadtSystem":
         """Transform, then trace, a Mini-Pascal program (phases I and II).
 
-        With ``present_original_view`` (the default), queries are phrased
-        in the user's original terms: threaded globals are labeled as
-        globals and exit parameters become "exits via goto L" results
-        (transparent debugging, paper §6.1). ``tolerate_errors`` lets a
-        crashing program yield its partial execution tree so the crash
-        itself can be debugged.
+        Queries are phrased in the user's original terms (paper §6.1):
+        both engines record the transformed analysis's
+        :class:`~repro.tracing.tracer.ActivationView`. ``tolerate_errors``
+        lets a crashing program yield its partial execution tree so the
+        crash itself can be debugged.
 
         ``backend`` selects the trace execution engine (``"interp"`` |
         ``"compiled"``; ``None`` means ``REPRO_BACKEND`` if set, else
@@ -140,10 +138,6 @@ class GadtSystem:
             backend=backend,
             profiler=profiler,
         )
-        if present_original_view:
-            from repro.core.presentation import present_tree
-
-            present_tree(trace, transformed)
         return cls(transformed=transformed, trace=trace)
 
     def debugger(

@@ -28,7 +28,7 @@ from repro.pascal.interpreter import Interpreter, PascalIO
 from repro.pascal.semantics import AnalyzedProgram
 from repro.pascal.values import ArrayValue, UNDEFINED, values_equal
 from repro.tracing.execution_tree import Binding, BindingMode, ExecNode, NodeKind
-from repro.tracing.tracer import TraceResult, trace_program
+from repro.tracing.tracer import TraceResult, decode_exit, trace_program
 
 
 class Oracle(Protocol):
@@ -149,6 +149,18 @@ def _inputs_key(node: ExecNode) -> tuple:
     )
 
 
+#: what a reference activation did: its outputs and its exit
+Expected = tuple[list[Binding], str | None]
+
+
+def _memo_of(trace: TraceResult) -> dict[tuple, list[Expected]]:
+    """A reference trace's activations by :func:`_memo_key`."""
+    memo: dict[tuple, list[Expected]] = {}
+    for node in trace.tree.walk():
+        memo.setdefault(_memo_key(node), []).append((list(node.outputs), node.via_goto))
+    return memo
+
+
 def _memo_key(node: ExecNode) -> tuple:
     """Unit activations are matched by (name, node kind, input values) —
     the kind keeps a loop unit distinct from its own iterations, which
@@ -179,7 +191,7 @@ class ReferenceOracle:
         self.loop_units = loop_units
         self.step_limit = step_limit
         self.questions = 0
-        self._memo: dict[tuple, list[tuple[list[Binding], str | None]]] | None = None
+        self._memo: dict[tuple, list[Expected]] | None = None
 
     @classmethod
     def from_source(
@@ -192,7 +204,7 @@ class ReferenceOracle:
     ) -> "ReferenceOracle":
         """Build the oracle from bug-free source, transformed and traced
         exactly like the program under debugging (same unit names, same
-        loop units, same original-view presentation) — maximizing direct
+        loop units, same original view) — maximizing direct
         execution-tree matches before any isolated-call fallback.
         ``backend`` is the engine that traces it."""
         from repro.core.gadt import GadtSystem
@@ -210,12 +222,7 @@ class ReferenceOracle:
             loop_units=system.transformed.loop_units,
             step_limit=step_limit,
         )
-        memo: dict[tuple, list[tuple[list[Binding], str | None]]] = {}
-        for node in system.trace.tree.walk():
-            memo.setdefault(_memo_key(node), []).append(
-                (list(node.outputs), node.via_goto)
-            )
-        oracle._memo = memo
+        oracle._memo = _memo_of(system.trace)
         return oracle
 
     # ------------------------------------------------------------------
@@ -242,9 +249,7 @@ class ReferenceOracle:
 
     # ------------------------------------------------------------------
 
-    def _expected_candidates(
-        self, node: ExecNode
-    ) -> list[tuple[list[Binding], str | None]]:
+    def _expected_candidates(self, node: ExecNode) -> list[Expected]:
         memo = self._reference_memo()
         candidates = memo.get(_memo_key(node))
         if candidates:
@@ -254,30 +259,22 @@ class ReferenceOracle:
             return [isolated] if isolated is not None else []
         return []
 
-    def _reference_memo(
-        self,
-    ) -> dict[tuple, list[tuple[list[Binding], str | None]]]:
-        if self._memo is not None:
-            return self._memo
-        self._memo = {}
-        try:
-            trace = trace_program(
-                self.reference_analysis,
-                inputs=list(self.program_inputs) if self.program_inputs else None,
-                loop_units=self.loop_units,
-                step_limit=self.step_limit,
-            )
-        except PascalError:
-            return self._memo
-        for node in trace.tree.walk():
-            self._memo.setdefault(_memo_key(node), []).append(
-                (list(node.outputs), node.via_goto)
-            )
+    def _reference_memo(self) -> dict[tuple, list[Expected]]:
+        if self._memo is None:
+            try:
+                trace = trace_program(
+                    self.reference_analysis,
+                    inputs=list(self.program_inputs) if self.program_inputs else None,
+                    loop_units=self.loop_units,
+                    step_limit=self.step_limit,
+                )
+            except PascalError:
+                self._memo = {}
+            else:
+                self._memo = _memo_of(trace)
         return self._memo
 
-    def _isolated_call(
-        self, node: ExecNode
-    ) -> tuple[list[Binding], str | None] | None:
+    def _isolated_call(self, node: ExecNode) -> Expected | None:
         try:
             info = self.reference_analysis.routine_named(node.unit_name)
         except KeyError:
@@ -308,6 +305,11 @@ class ReferenceOracle:
             )
         except PascalError:
             return None
+        # A transformed reference exits through its view's exit
+        # parameter, read as a traced activation reads it.
+        view = self.reference_analysis.view
+        exit_param = view and view.exits.get(info.name)
+        via_goto = decode_exit(outcome.out_values.get(exit_param)) or outcome.via_goto
         # A value presented as a global may be a threaded parameter in the
         # reference program (or vice versa): resolve by the reference
         # routine's own signature.
@@ -341,7 +343,7 @@ class ReferenceOracle:
                     is_global=binding.is_global,
                 )
             )
-        return expected, outcome.via_goto
+        return expected, via_goto
 
     def _compare(self, node: ExecNode, expected: list[Binding]) -> Answer:
         expected_by_name = {binding.name: binding.value for binding in expected}

@@ -1,84 +1,6 @@
-"""Presenting transformed-program queries in original terms (paper §6.1).
-
-The transformation phase adds parameters the user never wrote:
-
-* globals threaded as ``in``/``out``/``var`` parameters — the paper's
-  questions present these as "input values on these global variables /
-  values on free global variables", so their bindings are re-marked as
-  globals;
-* ``exitcond`` parameters carrying broken global gotos — "the non-local
-  goto is treated as one of the results from the procedure call": a
-  question shows *whether the goto happened* (``exits via goto 9``), not
-  the integer exit code. Since the exit code *is* the numeric label, a
-  non-zero value decodes directly to the original target.
-
-:func:`present_tree` rewrites an execution tree's bindings accordingly;
-:class:`~repro.core.gadt.GadtSystem` applies it automatically, so the
-dialogue the user sees never leaks the internal form.
-"""
-
-from __future__ import annotations
-
-from repro.tracing.execution_tree import Binding, ExecNode, NodeKind
-from repro.tracing.tracer import TraceResult
-from repro.transform.pipeline import TransformedProgram
+"""Kept for callers of the removed post-trace view pass: both engines
+record the user's view (:class:`repro.tracing.tracer.ActivationView`)."""
 
 
-def present_tree(trace: TraceResult, transformed: TransformedProgram) -> None:
-    """Rewrite the tree's bindings to the user's original-program view."""
-    added_globals = {
-        unit: {name for name, _mode in params}
-        for unit, params in transformed.added_params.items()
-    }
-    exit_params = dict(transformed.exit_params)
-    exit_names = set(exit_params.values())
-
-    for node in trace.tree.walk():
-        if node.kind is not NodeKind.CALL:
-            _present_loop_bindings(node, exit_names)
-            continue
-        unit_globals = added_globals.get(node.unit_name, set())
-        exit_param = exit_params.get(node.unit_name)
-        node.inputs = [
-            _mark_global(binding, unit_globals)
-            for binding in node.inputs
-            if binding.name != exit_param and binding.name not in exit_names
-        ]
-        new_outputs: list[Binding] = []
-        for binding in node.outputs:
-            if binding.name == exit_param:
-                # Decode the exit condition into the original goto.
-                if isinstance(binding.value, int) and binding.value != 0:
-                    node.via_goto = str(binding.value)
-                continue
-            new_outputs.append(_mark_global(binding, unit_globals))
-        node.outputs = new_outputs
-
-
-def _mark_global(binding: Binding, global_names: set[str]) -> Binding:
-    if binding.name in global_names and not binding.is_global:
-        return Binding(
-            name=binding.name,
-            mode=binding.mode,
-            value=binding.value,
-            is_global=True,
-        )
-    return binding
-
-
-def _present_loop_bindings(node: ExecNode, exit_names: set[str]) -> None:
-    """Loop units may carry leave/exitcond machinery; hide it."""
-    if node.kind not in (NodeKind.LOOP, NodeKind.ITERATION):
-        return
-    node.inputs = [
-        binding
-        for binding in node.inputs
-        if binding.name not in exit_names
-        and not binding.name.startswith(("gadt_leave_", "gadt_limit_"))
-    ]
-    node.outputs = [
-        binding
-        for binding in node.outputs
-        if binding.name not in exit_names
-        and not binding.name.startswith(("gadt_leave_", "gadt_limit_"))
-    ]
+def present_tree(trace, transformed) -> None:
+    """A no-op: the tree already holds the user's view."""

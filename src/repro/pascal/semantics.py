@@ -40,6 +40,7 @@ from repro.pascal.symbols import (
 
 if TYPE_CHECKING:
     from repro.pascal.pretty import PrintedProgram
+    from repro.tracing.tracer import ActivationView
 
 #: Builtin procedures with special argument rules.
 IO_PROCEDURES = {"write", "writeln", "read", "readln"}
@@ -114,6 +115,9 @@ class AnalyzedProgram:
     #: the analysis this one was patched from (:func:`patched_analysis`),
     #: None for a parse: what the compiler shares routine bodies with
     patched_from: "AnalyzedProgram | None" = field(default=None, repr=False, compare=False)
+    #: the user's view of its activations, set on (and inherited by
+    #: patches of) the analysis a transform returns
+    view: "ActivationView | None" = field(default=None, repr=False, compare=False)
 
     def routine_named(self, qualified_name: str) -> RoutineInfo:
         """Look up a routine by qualified (or unique unqualified) name."""

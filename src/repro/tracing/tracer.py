@@ -13,7 +13,7 @@ becomes a unit node in the execution tree with per-iteration child nodes
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 from repro.analysis.sideeffects import SideEffects, analyze_side_effects
@@ -50,6 +50,27 @@ class LoopUnitInfo:
     outputs: tuple[Symbol, ...]
 
 
+class ActivationView(NamedTuple):
+    """The user's view of a transformed program's activations (paper
+    §6.1), per routine name: the globals threaded through it as
+    parameters, recorded as globals, and the parameter that carries its
+    broken global gotos, recorded as the activation's ``via_goto``.
+    Exit parameters and the loop-goto pass's flags and bounds are never
+    recorded."""
+
+    threaded: dict[str, frozenset[str]]
+    exits: dict[str, str]
+
+    def hides(self, name: str) -> bool:
+        return name in self.exits.values() or name.startswith(("gadt_leave_", "gadt_limit_"))
+
+
+def decode_exit(code: object) -> str | None:
+    """The label an exit parameter's final value names: the exit code
+    *is* the numeric label, and 0 means the routine returned."""
+    return str(code) if isinstance(code, int) and code else None
+
+
 class ActivationSymbols(NamedTuple):
     """What one routine's activations record, in binding order; each
     symbol comes with its ``is_global`` flag."""
@@ -58,6 +79,8 @@ class ActivationSymbols(NamedTuple):
     outputs: list[tuple[Symbol, bool]]
     #: the function result (recorded last, as a ``Result`` binding)
     result: Symbol | None
+    #: the exit parameter, decoded into ``via_goto`` at exit
+    exit: Symbol | None = None
 
 
 def activation_symbols(
@@ -76,6 +99,9 @@ def activation_symbols(
     input value. Outputs are the ``var``/``out`` parameters and the
     globals (sorted by name) the routine modifies, then the function
     result.
+    A transformed analysis's :class:`ActivationView` marks threaded
+    parameters as globals and hides the exit parameter, returned as
+    ``exit``.
     """
     from repro.analysis.cfg import build_cfg
     from repro.analysis.dataflow import live_variables
@@ -105,7 +131,33 @@ def activation_symbols(
     outputs += [
         (symbol, True) for symbol in sorted(effects.gmod, key=lambda s: s.name)
     ]
-    return ActivationSymbols(inputs, outputs, info.result_symbol)
+    view = analysis.view
+    if view is None:
+        return ActivationSymbols(inputs, outputs, info.result_symbol)
+    threaded = view.threaded.get(info.name, ())
+
+    def shown(pairs):
+        return [
+            (symbol, is_global or symbol.name in threaded)
+            for symbol, is_global in pairs
+            if not view.hides(symbol.name)
+        ]
+
+    exit_name = view.exits.get(info.name)
+    exit_param = next((param for param in info.params if param.name == exit_name), None)
+    return ActivationSymbols(shown(inputs), shown(outputs), info.result_symbol, exit_param)
+
+
+def loop_symbols(analysis: AnalyzedProgram, unit: LoopUnitInfo) -> LoopUnitInfo:
+    """``unit`` with only the variables the analysis's view shows."""
+    view = analysis.view
+    if view is None:
+        return unit
+
+    def shown(symbols):
+        return tuple(symbol for symbol in symbols if not view.hides(symbol.name))
+
+    return replace(unit, inputs=shown(unit.inputs), outputs=shown(unit.outputs))
 
 
 @dataclass
@@ -152,7 +204,10 @@ class Tracer(ExecutionHooks):
         self.side_effects = (
             side_effects if side_effects is not None else analyze_side_effects(analysis)
         )
-        self.loop_units = loop_units or {}
+        self.loop_units = {
+            stmt_id: loop_symbols(analysis, unit)
+            for stmt_id, unit in (loop_units or {}).items()
+        }
         self.interpreter: Interpreter | None = None
         #: memory guard: abort the trace when the tree outgrows this
         self.max_tree_nodes = max_tree_nodes
@@ -430,8 +485,8 @@ class Tracer(ExecutionHooks):
         ]
 
     def _close_outputs(self, node: ExecNode, info: RoutineInfo, frame: Frame) -> None:
-        """Snapshot the activation's outputs and record, per output, the
-        occurrences that last wrote it (the slice criteria)."""
+        """Snapshot the activation's outputs and exit, and record, per
+        output, the occurrences that last wrote it (the slice criteria)."""
         if info.is_main:
             # The program's observable result is what it printed: that is
             # the "externally visible symptom" the whole session starts
@@ -455,6 +510,9 @@ class Tracer(ExecutionHooks):
                 self._output(node, info.name, BindingMode.RESULT, frame.result_cell)
             )
         node.outputs = outputs
+        if symbols.exit is not None:
+            code = self._symbol_value(symbols.exit, frame)
+            node.via_goto = decode_exit(code) or node.via_goto
 
     def _output(
         self,

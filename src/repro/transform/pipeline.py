@@ -8,6 +8,9 @@ Order of passes:
 3. break global gotos into exit parameters — repeated until no global
    goto remains (each round peels one nesting level),
 4. convert global-variable accesses to ``in``/``out``/``var`` parameters,
+   and attach the :class:`~repro.tracing.tracer.ActivationView` of the
+   parameters steps 3 and 4 added to the resulting analysis, so both
+   engines record each activation as the user sees it,
 5. compute the loop-unit registry on the final program,
 6. on demand, insert trace-generating actions: the *instrumented*
    program (:attr:`TransformedProgram.instrumented`) is a display
@@ -55,7 +58,7 @@ from repro.pascal.semantics import (
     patched_analysis,
     registered_patch,
 )
-from repro.tracing.tracer import LoopUnitInfo
+from repro.tracing.tracer import ActivationView, LoopUnitInfo
 from repro.transform.globals_to_params import convert_globals_to_params
 from repro.transform.goto_elimination import (
     GotoEliminationResult,
@@ -228,6 +231,11 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
         warnings.extend(globals_result.warnings)
         accumulated = _compose(globals_result.source_map, accumulated)
         analysis = analyze(globals_result.program)
+        threaded = globals_result.added_params.items()
+        analysis.view = ActivationView(
+            {unit: frozenset(name for name, _mode in params) for unit, params in threaded},
+            exit_params,
+        )
         side_effects = analyze_side_effects(analysis)
 
     # 5. loop units on the final program

@@ -257,3 +257,33 @@ def transform_digest(transformed) -> str:
         separators=(",", ":"),
     )
     return hashlib.sha256(encoded.encode()).hexdigest()
+
+
+def trace_digest(trace) -> str:
+    """A SHA-256 over the debugger's view of a trace: for each node in
+    pre-order, its kind, unit, inputs and outputs (name, mode, value
+    and ``is_global`` of each binding), ``via_goto``, the positions of
+    its children, and the writer set recorded for each output shown."""
+    nodes = list(trace.tree.walk())
+    position = {node.node_id: index for index, node in enumerate(nodes)}
+    writers = trace.tree.output_writers
+
+    def binding(b) -> list:
+        return [b.name, b.mode.value, repr(b.value), b.is_global]
+
+    form = [
+        (
+            node.kind.value,
+            node.unit_name,
+            [binding(b) for b in node.inputs],
+            [
+                binding(b) + [sorted(writers.get((node.node_id, b.name), ()))]
+                for b in node.outputs
+            ],
+            node.via_goto,
+            [position[child.node_id] for child in node.children],
+        )
+        for node in nodes
+    ]
+    encoded = json.dumps(form, separators=(",", ":"))
+    return hashlib.sha256(encoded.encode()).hexdigest()

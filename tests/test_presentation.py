@@ -1,16 +1,11 @@
-"""Unit tests for the original-view presentation pass (paper §6.1)."""
-
-import pytest
+"""Unit tests for the original view both engines record (paper §6.1)."""
 
 from repro.core import GadtSystem
-from repro.core.presentation import present_tree
-from repro.tracing import trace_program
 from repro.tracing.execution_tree import NodeKind
-from repro.transform import transform_source
 
 
-def build(source: str, present: bool = True) -> GadtSystem:
-    return GadtSystem.from_source(source, present_original_view=present)
+def build(source: str) -> GadtSystem:
+    return GadtSystem.from_source(source)
 
 
 LOOP_WITH_ESCAPE = """
@@ -51,30 +46,6 @@ class TestLoopPresentation:
         )
         names = {binding.name for binding in iteration.inputs + iteration.outputs}
         assert not any(name.startswith("gadt_") for name in names)
-
-    def test_raw_view_keeps_machinery(self):
-        system = build(LOOP_WITH_ESCAPE, present=False)
-        loop = next(
-            node
-            for node in system.trace.tree.walk()
-            if node.kind is NodeKind.LOOP
-        )
-        names = {binding.name for binding in loop.inputs + loop.outputs}
-        assert any(name.startswith("gadt_leave") for name in names)
-
-
-class TestIdempotence:
-    def test_presenting_twice_is_stable(self):
-        transformed = transform_source(LOOP_WITH_ESCAPE)
-        trace = trace_program(
-            transformed.analysis,
-            side_effects=transformed.side_effects,
-            loop_units=transformed.loop_units,
-        )
-        present_tree(trace, transformed)
-        snapshot = trace.tree.render()
-        present_tree(trace, transformed)
-        assert trace.tree.render() == snapshot
 
 
 class TestGotoDecoding:

@@ -21,7 +21,6 @@ import pytest
 
 from repro import cache, obs
 from repro.core import GadtSystem
-from repro.core.presentation import present_tree
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import (
     _ANALYSIS_CACHE,
@@ -66,7 +65,6 @@ def _traced(transformed, backend):
         )
     except Exception as exc:  # the error itself must match too
         return type(exc).__name__, str(exc)
-    present_tree(trace, transformed)
     return trace_form(trace, transformed.analysis)
 
 

@@ -80,12 +80,6 @@ class TestOriginalViewQueries:
         assert first.via_goto is None
         assert "goto" not in first.render_head()
 
-    def test_raw_view_available_on_request(self):
-        system = GadtSystem.from_source(BUGGY, present_original_view=False)
-        account = system.trace.tree.find("account")
-        names = {binding.name for binding in account.outputs}
-        assert any(name.startswith("exitcond") for name in names)
-
 
 class TestBugReports:
     def test_show_bug_renders_original_routine(self, goto_system):
