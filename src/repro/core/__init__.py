@@ -41,7 +41,7 @@ from repro.core.algorithmic import AlgorithmicDebugger, DebugResult
 from repro.core.gadt import GadtDebugger, GadtSystem
 from repro.core.postmortem import ContributingStatement, contributing_statements
 from repro.core.replay import (
-    ReplayDebugger,
+    JournalOracle,
     ReplayDivergence,
     ReplayReport,
     replay_file,
@@ -65,11 +65,11 @@ __all__ = [
     "GadtSystem",
     "Interaction",
     "InteractiveOracle",
+    "JournalOracle",
     "OptimalDivideAndQueryStrategy",
     "Oracle",
     "Query",
     "ReferenceOracle",
-    "ReplayDebugger",
     "ReplayDivergence",
     "ReplayReport",
     "ScriptedOracle",

@@ -56,18 +56,14 @@ class DebugResult:
 
     bug_node: ExecNode | None
     session: Session
-    user_questions: int = 0
-    auto_answers: int = 0
     slices: int = 0
     uncertain_nodes: list[ExecNode] = field(default_factory=list)
     #: activations judged correct during the search (dicing material)
     correct_nodes: list[ExecNode] = field(default_factory=list)
-    used_test_answers: bool = False
     #: query count per answer source ("user" / "assertion" / "test-db" /
-    #: "cache" / "slice-pruned"); see :data:`SOURCE_LABELS`
+    #: "cache" / "slice-pruned"); see :data:`SOURCE_LABELS`. The
+    #: session's only tally: every other count is read from it.
     queries_by_source: dict[str, int] = field(default_factory=dict)
-    #: activations removed from the search space by dynamic slices
-    slice_pruned: int = 0
     #: wall time of the debugging search (always measured)
     elapsed_s: float = 0.0
     #: the session ran over a degraded (budget-salvaged, depth-capped)
@@ -87,8 +83,29 @@ class DebugResult:
         return self.bug_node is not None
 
     @property
+    def user_questions(self) -> int:
+        """Queries that cost a user interaction."""
+        return self.queries_by_source.get("user", 0)
+
+    @property
+    def auto_answers(self) -> int:
+        """Queries an assertion or the test database answered."""
+        return self.queries_by_source.get("assertion", 0) + (
+            self.queries_by_source.get("test-db", 0)
+        )
+
+    @property
+    def used_test_answers(self) -> bool:
+        return self.queries_by_source.get("test-db", 0) > 0
+
+    @property
     def total_questions(self) -> int:
         return self.user_questions + self.auto_answers
+
+    @property
+    def slice_pruned(self) -> int:
+        """Activations removed from the search space by dynamic slices."""
+        return self.queries_by_source.get(SLICE_PRUNED, 0)
 
     def report(self) -> dict:
         """Structured per-session accounting (JSON-ready).
@@ -289,7 +306,6 @@ class AlgorithmicDebugger:
             - set(self._answer_cache)
         )
         if pruned:
-            result.slice_pruned += len(pruned)
             result.queries_by_source[SLICE_PRUNED] = (
                 result.queries_by_source.get(SLICE_PRUNED, 0) + len(pruned)
             )
@@ -323,49 +339,38 @@ class AlgorithmicDebugger:
                 error_position=cached.error_position,
                 note="previously answered",
             )
-            self._account(result, query, answer)
-            return answer
-
-        answer = self.assertions.try_answer(query)
-        if answer is not None:
-            result.auto_answers += 1
+        else:
+            answer = self._consult(query)
             session.ask(query, answer)
             self._answer_cache[query.node.node_id] = answer
-            self._account(result, query, answer)
-            return answer
+        self._account(result, query, answer)
+        return answer
 
+    def _consult(self, query: Query) -> Answer:
+        """Stored assertions, then the test-case lookup, then the oracle."""
+        answer = self.assertions.try_answer(query)
+        if answer is not None:
+            return answer
         if self.test_lookup is not None:
             outcome = self.test_lookup.consult(query.unit_name, query.inputs())
             if outcome.answers_yes:
-                answer = Answer.yes(
+                return Answer.yes(
                     source=AnswerSource.TEST_DATABASE, note=outcome.detail
                 )
-                result.auto_answers += 1
-                result.used_test_answers = True
-                session.ask(query, answer)
-                self._answer_cache[query.node.node_id] = answer
-                self._account(result, query, answer)
-                return answer
-
         answer = self.oracle.answer(query)
-        result.user_questions += 1
         if answer.kind is AnswerKind.ASSERTION and answer.assertion is not None:
             # Store the assertion, then let it answer this very query.
             self.assertions.add(answer.assertion)
             derived = self.assertions.try_answer(query)
-            if derived is not None:
-                answer = Answer(
-                    kind=derived.kind,
-                    source=AnswerSource.USER,
-                    error_variable=derived.error_variable,
-                    error_position=derived.error_position,
-                    note=f"via new assertion {answer.assertion.text!r}",
-                )
-            else:
-                answer = Answer.dont_know(source=AnswerSource.USER)
-        session.ask(query, answer)
-        self._answer_cache[query.node.node_id] = answer
-        self._account(result, query, answer)
+            if derived is None:
+                return Answer.dont_know(source=AnswerSource.USER)
+            return Answer(
+                kind=derived.kind,
+                source=AnswerSource.USER,
+                error_variable=derived.error_variable,
+                error_position=derived.error_position,
+                note=f"via new assertion {answer.assertion.text!r}",
+            )
         return answer
 
     @staticmethod
@@ -381,7 +386,7 @@ class AlgorithmicDebugger:
 
     @staticmethod
     def _account(result: DebugResult, query: Query, answer: Answer) -> None:
-        """Tag one resolved query with its answer source (obs accounting).
+        """Count one resolved query under the answer source it names.
 
         The emitted event is the journal's replay unit: it carries the
         node id, the answer source *and* the answer itself (including

@@ -16,13 +16,16 @@ id and the ``root`` field of the journal's trace record. Node
 (pre-order over the execution tree), which is what makes cross-backend
 replay a meaningful conformance check.
 
-The journal's query records are consumed strictly in order, one per
-resolved query — including cache-sourced re-answers — because
-:meth:`~repro.core.algorithmic.AlgorithmicDebugger._account` emits
-exactly one record per resolution. Slicing is *not* replayed from the
-journal: it re-executes for real, driven by the recorded error
-indications, so a slicer regression shows up as a question-sequence or
-accounting divergence.
+The re-run is a plain :class:`~repro.core.gadt.GadtDebugger` whose
+oracle is a :class:`JournalOracle`, so every query goes down the live
+answer chain. The journal's answers stand in for the whole chain, in
+order, each under its recorded source; cache-sourced records are not
+handed out, because the re-run's own answer cache must produce them.
+After the run, the re-run's query and verdict events are compared with
+the recorded ones. Slicing is *not* replayed from the journal: it
+re-executes for real, driven by the recorded error indications, so a
+slicer regression shows up as a question-sequence or accounting
+divergence.
 """
 
 from __future__ import annotations
@@ -69,92 +72,62 @@ class ReplayReport:
         return "\n".join(lines)
 
 
-class _RefuseOracle(Oracle):
-    """Installed during replay; consulting it means a query was asked
-    that the journal never recorded."""
+class JournalOracle(Oracle):
+    """An oracle that hands out a journal's recorded answers, in order.
 
-    def answer(self, query: Query) -> Answer:  # pragma: no cover - guard
-        raise ReplayDivergence(
-            f"oracle consulted for {query.unit_name} — not in the journal"
-        )
+    Cache-sourced records are skipped: the re-run's own answer cache
+    must produce them, which the query comparison after the run checks.
+    Each answer keeps its recorded source, so the re-run counts it where
+    the recorded session did.
+    """
 
-
-class ReplayDebugger(GadtDebugger):
-    """A debugger whose answer chain is the journal's query records."""
-
-    def __init__(self, trace, recorded_queries, node_offset, **kwargs):
-        super().__init__(trace, _RefuseOracle(), **kwargs)
-        self._recorded = list(recorded_queries)
+    def __init__(self, recorded_queries: list[dict], node_offset: int):
+        self._pending = [
+            (number, record)
+            for number, record in enumerate(recorded_queries, 1)
+            if record.get("source") != SOURCE_LABELS[AnswerSource.CACHE]
+        ]
         self._cursor = 0
         self._offset = node_offset
 
-    @property
-    def consumed(self) -> int:
-        return self._cursor
-
-    @property
-    def leftover(self) -> int:
-        return len(self._recorded) - self._cursor
-
-    def _answer_query(self, query, session, result) -> Answer:
-        if self._cursor >= len(self._recorded):
+    def answer(self, query: Query) -> Answer:
+        node = query.node.node_id - self._offset
+        if self._cursor >= len(self._pending):
             raise ReplayDivergence(
-                f"extra query #{self._cursor + 1}: the re-run asked about "
-                f"{query.unit_name} (node {query.node.node_id - self._offset}) "
-                "but the journal has no more recorded queries"
+                f"extra query: the re-run asked about {query.unit_name} "
+                f"(node {node}) but the journal has no more recorded answers"
             )
-        record = self._recorded[self._cursor]
+        number, record = self._pending[self._cursor]
         self._cursor += 1
         recorded_node = record.get("node")
-        expected_node = (
-            recorded_node + self._offset if recorded_node is not None else None
-        )
         if record.get("unit") != query.unit_name or (
-            expected_node is not None and expected_node != query.node.node_id
+            recorded_node is not None and recorded_node != node
         ):
             raise ReplayDivergence(
-                f"query #{self._cursor} asks about {query.unit_name} "
-                f"(node {query.node.node_id - self._offset}), journal recorded "
+                f"the re-run asked about {query.unit_name} (node {node}) "
+                f"where the journal recorded query #{number} about "
                 f"{record.get('unit')} (node {recorded_node})"
             )
-
         source = LABEL_SOURCES.get(record.get("source"))
         if source is None:
             raise ReplayDivergence(
-                f"query #{self._cursor}: unknown recorded answer source "
+                f"query #{number}: unknown recorded answer source "
                 f"{record.get('source')!r}"
             )
         try:
             kind = AnswerKind(record.get("answer"))
         except ValueError as error:
             raise ReplayDivergence(
-                f"query #{self._cursor}: unknown recorded answer "
+                f"query #{number}: unknown recorded answer "
                 f"{record.get('answer')!r}"
             ) from error
-        answer = Answer(
+        return Answer(
             kind=kind,
             source=source,
             error_variable=record.get("error_variable"),
             error_position=record.get("error_position"),
             note="replayed from journal",
         )
-
-        # Mirror the live answer chain's bookkeeping per source, so the
-        # accounting (and the slice-pruned arithmetic, which excludes
-        # already-answered nodes) reproduces exactly.
-        if source is AnswerSource.CACHE:
-            self._account(result, query, answer)
-            return answer
-        if source is AnswerSource.USER:
-            result.user_questions += 1
-        else:
-            result.auto_answers += 1
-            if source is AnswerSource.TEST_DATABASE:
-                result.used_test_answers = True
-        session.ask(query, answer)
-        self._answer_cache[query.node.node_id] = answer
-        self._account(result, query, answer)
-        return answer
 
 
 class _ListSink:
@@ -168,6 +141,40 @@ class _ListSink:
 
     def close(self) -> None:  # EventSink protocol
         pass
+
+
+#: event fields compared between the recorded and the replayed run
+_COMPARED_FIELDS = {
+    "query": ("unit", "node", "source", "answer", "error_variable", "error_position"),
+    "verdict": ("verdict", "unit", "node"),
+}
+
+
+def _sequence(events: list[dict], kind: str, offset: int = 0) -> list[dict]:
+    """The compared fields of every ``kind`` event, node ids shifted back
+    by ``offset`` into the recorded session's numbering."""
+    sequence = []
+    for event in events:
+        if event.get("kind") == kind:
+            fields = {
+                name: event[name]
+                for name in _COMPARED_FIELDS[kind]
+                if event.get(name) is not None
+            }
+            if "node" in fields:
+                fields["node"] -= offset
+            sequence.append(fields)
+    return sequence
+
+
+def _first_difference(kind: str, recorded: list, replayed: list) -> str | None:
+    """Where two event sequences part, or ``None`` if they are equal."""
+    for number, (was, now) in enumerate(zip(recorded, replayed), 1):
+        if was != now:
+            return f"{kind} #{number}: recorded {was}, replayed {now}"
+    if len(recorded) != len(replayed):
+        return f"{len(recorded)} recorded vs {len(replayed)} replayed"
+    return None
 
 
 #: session-report keys compared between recorded and replayed runs
@@ -216,7 +223,6 @@ def replay_journal(
     recorded_root = recorded_trace.get("root")
     if recorded_root is None:
         raise JournalError("journal trace record carries no root node id")
-    recorded_verdicts = journal.verdicts()
     recorded_session = journal.session()
 
     strategy = meta.get("strategy") or "top-down"
@@ -245,59 +251,38 @@ def replay_journal(
             backend=backend_used,
         )
         offset = system.trace.tree.root.node_id - recorded_root
-        debugger = ReplayDebugger(
+        debugger = GadtDebugger(
             system.trace,
-            recorded_queries,
-            offset,
+            JournalOracle(recorded_queries, offset),
             strategy=strategy,
             enable_slicing=meta.get("enable_slicing", True),
         )
         report = ReplayReport(ok=True, backend=system.trace.backend)
+        result = None
         try:
             result = debugger.debug(
                 assume_symptom=meta.get("assume_symptom", True)
             )
         except ReplayDivergence as divergence:
             report.ok = False
-            report.queries = debugger.consumed
             report.divergences.append(str(divergence))
+        replayed = {
+            kind: _sequence(sink.events, kind, offset) for kind in _COMPARED_FIELDS
+        }
+        report.queries = len(replayed["query"])
+        report.verdicts = len(replayed["verdict"])
+        if result is None:
             return report
 
-        report.queries = debugger.consumed
         report.bug_unit = result.bug_unit
         report.session_report = result.report()
-
-        if debugger.leftover:
-            report.ok = False
-            report.divergences.append(
-                f"re-run ended early: {debugger.leftover} recorded "
-                "query record(s) left unconsumed"
+        for kind, sequence in replayed.items():
+            detail = _first_difference(
+                kind, _sequence(journal.records, kind), sequence
             )
-
-        replayed_verdicts = [
-            event for event in sink.events if event.get("kind") == "verdict"
-        ]
-        report.verdicts = len(replayed_verdicts)
-        recorded_seq = [
-            (v.get("verdict"), v.get("unit"), v.get("node"))
-            for v in recorded_verdicts
-        ]
-        replayed_seq = [
-            (v.get("verdict"), v.get("unit"), v.get("node") - offset)
-            for v in replayed_verdicts
-        ]
-        if recorded_seq != replayed_seq:
-            report.ok = False
-            length = min(len(recorded_seq), len(replayed_seq))
-            detail = f"{len(recorded_seq)} recorded vs {len(replayed_seq)} replayed"
-            for index in range(length):
-                if recorded_seq[index] != replayed_seq[index]:
-                    detail = (
-                        f"verdict #{index + 1}: recorded "
-                        f"{recorded_seq[index]}, replayed {replayed_seq[index]}"
-                    )
-                    break
-            report.divergences.append(f"verdict transitions differ ({detail})")
+            if detail is not None:
+                report.ok = False
+                report.divergences.append(f"{kind} sequence differs ({detail})")
 
         if recorded_session is not None:
             recorded_report = recorded_session.get("report") or {}

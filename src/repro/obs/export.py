@@ -14,11 +14,9 @@ Chrome trace-event JSON format — the lingua franca of Perfetto, chrome
 * **cache** records become ``"C"`` (counter) samples — running
   hit/miss totals drawn as a stacked area chart;
 * **mutant** records are laid out as separate **sweep worker tracks**:
-  outcomes are aggregated after the sweep ends (the crash-isolation
-  pool reports no per-worker timeline), so each mutant's ``seconds``
-  slice is greedily packed onto the first free worker lane inside the
-  ``mutants.evaluate`` span window — a faithful shape of the sweep's
-  parallelism, reconstructed from what the journal carries;
+  each mutant's ``seconds`` slice starts at its recorded ``started``
+  time, on the lane of the process (``pid``) that ran it — the sweep's
+  measured parallelism;
 * ``"M"`` metadata events name the process and every track.
 
 Timestamps are microseconds rebased to the earliest event, so the
@@ -64,50 +62,25 @@ def _args(record: dict) -> dict:
     }
 
 
-def _pack_mutants(mutants: list[dict], spans: list[dict]) -> list[dict]:
-    """Synthesize worker-lane ``X`` events for a mutation sweep.
+def _worker_slices(mutants: list[dict]) -> list[dict]:
+    """Worker-lane ``X`` events for a mutation sweep.
 
-    The sweep aggregates outcomes in the parent process after all
-    workers finish, so mutant events share one end-of-sweep timestamp;
-    each carries its own wall time (``seconds``). Greedy lane packing
-    inside the ``mutants.evaluate`` window reconstructs a plausible
-    parallel timeline: lane count ≈ observed concurrency.
+    Each mutant's slice sits at its recorded start, on one lane per
+    process that ran mutants (lanes numbered in order of first start).
+    A record without a start gets no slice: its mutant was settled in
+    the parent, or the journal predates the field.
     """
-    window_end = None
-    window_start = None
-    for span in spans:
-        if span.get("name") == "mutants.evaluate":
-            window_end = span["ts"]
-            window_start = span["ts"] - span.get("duration_s", 0.0)
+    started = [record for record in mutants if record.get("started") is not None]
+    lanes: dict[object, int] = {}
     events = []
-    lanes: list[float] = []
-    for record in mutants:
-        seconds = float(record.get("seconds") or 0.0)
-        start_floor = (
-            window_start
-            if window_start is not None
-            else record["ts"] - seconds
-        )
-        # Reuse the earliest-free lane while the slice still fits inside
-        # the sweep window; otherwise open a new lane. Lane count then
-        # converges on the sweep's actual concurrency (total work over
-        # window length), without the pool reporting worker ids.
-        lane = None
-        if lanes:
-            best = min(range(len(lanes)), key=lanes.__getitem__)
-            if window_end is None or lanes[best] + seconds <= window_end + 1e-6:
-                lane = best
-        if lane is None:
-            lane = len(lanes)
-            lanes.append(start_floor)
-        start = max(start_floor, lanes[lane])
-        lanes[lane] = start + seconds
+    for record in sorted(started, key=lambda record: record["started"]):
+        lane = lanes.setdefault(record.get("pid"), len(lanes))
         events.append(
             {
                 "name": record.get("description", "mutant"),
                 "ph": "X",
-                "ts": start,  # rebased to µs later
-                "dur": seconds,
+                "ts": record["started"],  # rebased to µs later
+                "dur": float(record.get("seconds") or 0.0),
                 "pid": 1,
                 "tid": WORKER_TID_BASE + lane,
                 "cat": "mutant",
@@ -119,10 +92,9 @@ def _pack_mutants(mutants: list[dict], spans: list[dict]) -> list[dict]:
 
 def to_chrome_trace(journal: Journal) -> dict:
     """The journal as a Chrome trace-event JSON document."""
-    spans = journal.spans()
     raw_events: list[dict] = []
 
-    for record in spans:
+    for record in journal.spans():
         duration = float(record.get("duration_s") or 0.0)
         raw_events.append(
             {
@@ -169,7 +141,7 @@ def to_chrome_trace(journal: Journal) -> dict:
             }
         )
 
-    worker_events = _pack_mutants(journal.of_kind("mutant"), spans)
+    worker_events = _worker_slices(journal.of_kind("mutant"))
     raw_events.extend(worker_events)
 
     # Rebase to the earliest begin time and convert to microseconds.
@@ -194,15 +166,15 @@ def to_chrome_trace(journal: Journal) -> dict:
             "args": {"name": "pipeline"},
         },
     ]
-    worker_tids = sorted({event["tid"] for event in worker_events})
-    for tid in worker_tids:
+    worker_pids = {event["tid"]: event["args"].get("pid") for event in worker_events}
+    for tid, pid in sorted(worker_pids.items()):
         trace_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": 1,
                 "tid": tid,
-                "args": {"name": f"sweep worker {tid - WORKER_TID_BASE}"},
+                "args": {"name": f"sweep worker {tid - WORKER_TID_BASE} (pid {pid})"},
             }
         )
     trace_events.extend(sorted(raw_events, key=lambda event: event["ts"]))

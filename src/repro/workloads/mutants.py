@@ -47,6 +47,7 @@ does not inherit the parent's.
 
 from __future__ import annotations
 
+import os
 import time
 from dataclasses import dataclass, field, replace
 
@@ -198,6 +199,10 @@ class LocalizationOutcome:
     #: excluded from equality so a crash-then-retry run still compares
     #: equal to a fault-free one)
     retries: int = field(default=0, compare=False)
+    #: pid of the process that ran this mutant and the Unix time it
+    #: started (``None`` when settled without a run of its own)
+    pid: int | None = field(default=None, compare=False)
+    started: float | None = field(default=None, compare=False)
 
 
 def _debug_one_mutant(
@@ -212,12 +217,15 @@ def _debug_one_mutant(
     backend: str | None = None,
 ) -> LocalizationOutcome:
     """Run/trace/debug one mutant (shared by sequential and parallel paths)."""
+    wall_started = time.time()
     started = time.perf_counter()
     outcome = _debug_one_mutant_impl(
         mutant, baseline, reference, strategy, enable_slicing, step_limit,
         deadline_s, degrade, backend,
     )
     outcome.seconds = time.perf_counter() - started
+    outcome.pid = os.getpid()
+    outcome.started = wall_started
     return outcome
 
 
@@ -555,6 +563,8 @@ def evaluate_mutants(
                 seconds=outcome.seconds,
                 partial=outcome.partial,
                 retries=outcome.retries,
+                pid=outcome.pid,
+                started=outcome.started,
             )
     return outcomes
 

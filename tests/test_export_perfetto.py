@@ -72,34 +72,52 @@ class TestToChromeTrace:
             {"hits": 2, "misses": 1},
         ]
 
-    def test_mutants_pack_onto_worker_lanes(self):
-        # Four 1-second mutants inside a 2-second sweep window need two
-        # lanes: the packer reconstructs the sweep's concurrency.
+    def test_mutants_sit_on_recorded_worker_lanes(self):
+        # Two worker processes, each running two mutants back to back,
+        # and one mutant settled in the parent (no start, no slice).
         records = [
-            {"kind": "span", "seq": 9, "ts": 102.0, "name": "mutants.evaluate",
-             "duration_s": 2.0},
+            {"kind": "mutant", "seq": i, "ts": 110.0, "seconds": 1.0,
+             "description": f"m{i}", "status": "localized",
+             "pid": pid, "started": started}
+            for i, (pid, started) in enumerate(
+                [(4242, 100.0), (4343, 100.5), (4242, 101.0), (4343, 101.5)]
+            )
         ] + [
-            {"kind": "mutant", "seq": i, "ts": 102.0, "seconds": 1.0,
-             "description": f"m{i}", "status": "localized"}
-            for i in range(4)
+            {"kind": "mutant", "seq": 4, "ts": 110.0, "seconds": 0.0,
+             "description": "unreached", "status": "equivalent",
+             "pid": None, "started": None},
         ]
         document = to_chrome_trace(synthetic_journal(records))
-        lanes = sorted({
-            e["tid"] for e in document["traceEvents"]
+        slices = {
+            e["name"]: e for e in document["traceEvents"]
             if e.get("cat") == "mutant"
-        })
-        assert lanes == [WORKER_TID_BASE, WORKER_TID_BASE + 1]
+        }
+        assert set(slices) == {"m0", "m1", "m2", "m3"}
+        lane = {name: event["tid"] for name, event in slices.items()}
+        assert lane["m0"] == lane["m2"] == WORKER_TID_BASE
+        assert lane["m1"] == lane["m3"] == WORKER_TID_BASE + 1
+        # each slice starts where it was measured, rebased to m0's start
+        assert [slices[f"m{i}"]["ts"] for i in range(4)] == [
+            0.0, 500_000.0, 1_000_000.0, 1_500_000.0
+        ]
+        assert all(event["dur"] == 1_000_000.0 for event in slices.values())
         thread_names = {
             e["args"]["name"]
             for e in document["traceEvents"]
             if e["ph"] == "M" and e["name"] == "thread_name"
         }
-        assert "sweep worker 0" in thread_names
-        assert "sweep worker 1" in thread_names
-        # every mutant slice stays inside the sweep window
-        for event in document["traceEvents"]:
-            if event.get("cat") == "mutant":
-                assert event["ts"] + event["dur"] <= 2.0 * 1e6 + 1
+        assert "sweep worker 0 (pid 4242)" in thread_names
+        assert "sweep worker 1 (pid 4343)" in thread_names
+
+    def test_mutants_without_a_start_draw_no_lane(self):
+        # journals written before mutants recorded their start
+        records = [
+            {"kind": "mutant", "seq": 1, "ts": 102.0, "seconds": 1.0,
+             "description": "m1", "status": "localized"},
+        ]
+        events = to_chrome_trace(synthetic_journal(records))["traceEvents"]
+        assert not [e for e in events if e.get("cat") == "mutant"]
+        assert {e.get("tid") for e in events if e["ph"] == "M"} == {None, MAIN_TID}
 
     def test_metadata_names_process_and_main_track(self):
         document = to_chrome_trace(synthetic_journal([]))

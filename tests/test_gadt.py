@@ -142,6 +142,33 @@ class TestAnswerChainOrder:
         assert result.used_test_answers
 
 
+class TestAnswerCache:
+    """A second session on one debugger is answered from its answer cache."""
+
+    def test_repeated_queries_come_from_the_cache(self, system, monkeypatch):
+        lookup = fresh_lookup(system)
+        oracle = ReferenceOracle(analyze_source(FIGURE4_FIXED_SOURCE))
+        debugger = system.debugger(oracle, test_lookup=lookup)
+        first = debugger.debug()
+        assert first.used_test_answers
+
+        def refuse(*args):
+            raise AssertionError("the answer chain was consulted")
+
+        monkeypatch.setattr(debugger.assertions, "try_answer", refuse)
+        monkeypatch.setattr(lookup, "consult", refuse)
+        monkeypatch.setattr(oracle, "answer", refuse)
+        second = debugger.debug()
+        assert second.bug_unit == first.bug_unit == "decrement"
+        assert second.queries_by_source["cache"] == first.total_questions
+        assert second.total_questions == 0
+        queries = second.report()["queries"]
+        assert sum(queries["by_source"].values()) == queries["total"]
+        assert queries["total"] == (
+            queries["by_source"]["cache"] + queries["by_source"]["slice-pruned"]
+        )
+
+
 class TestDistrustFallback:
     def test_retry_without_tests_when_rejected(self, system):
         """A wrong 'pass' report sends the debugger astray; the paper's

@@ -1,8 +1,10 @@
 """Tests for the mutation workload and localization-accuracy experiment."""
 
+import os
 import re
 import sys
 import threading
+import time
 
 import pytest
 
@@ -377,6 +379,19 @@ class TestParallelEvaluation:
         sequential = evaluate_mutants(FIGURE4_FIXED_SOURCE, mutants)
         parallel = evaluate_mutants(FIGURE4_FIXED_SOURCE, mutants, workers=4)
         assert parallel == sequential
+
+    def test_outcomes_record_the_process_that_ran_them(self):
+        mutants = generate_mutants(SMALL, include_constants=False)
+        sequential = evaluate_mutants(SMALL, mutants)
+        parallel = evaluate_mutants(SMALL, mutants, workers=2)
+        assert parallel == sequential  # pid and start are not compared
+        ran_here = [o for o in sequential if o.started is not None]
+        assert ran_here and {o.pid for o in ran_here} == {os.getpid()}
+        workers = {o.pid for o in parallel if o.started is not None}
+        assert workers and os.getpid() not in workers
+        assert all(
+            o.started <= time.time() for o in parallel if o.started is not None
+        )
 
     def test_workers_one_uses_sequential_path(self):
         mutants = generate_mutants(SMALL, include_constants=False)

@@ -110,6 +110,39 @@ class TestReplayDivergence:
         report = replay_file(str(out))
         assert not report.ok
 
+    def test_relabelled_source_names_the_query(self, tmp_path):
+        """A recorded cache answer must be a cache hit of the re-run."""
+        path = tmp_path / "session.jsonl"
+        record_fig4_session(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        relabelled = [r for r in records if r.get("kind") == "query"][1]
+        assert relabelled["source"] == "user"
+        relabelled["source"] = "cache"
+        out = tmp_path / "relabelled.jsonl"
+        out.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        report = replay_file(str(out))
+        assert not report.ok
+        assert (
+            f"{relabelled['unit']} (node {relabelled['node']})"
+            in report.render()
+        )
+
+    def test_cache_answer_the_rerun_never_hits_diverges(self, tmp_path):
+        path = tmp_path / "session.jsonl"
+        record_fig4_session(path)
+        records = [json.loads(line) for line in path.read_text().splitlines()]
+        second = [r for r in records if r.get("kind") == "query"][1]
+        records.insert(records.index(second) + 1, {**second, "source": "cache"})
+        out = tmp_path / "cached.jsonl"
+        out.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+        report = replay_file(str(out))
+        assert not report.ok
+        assert any(
+            divergence.startswith("query sequence differs (query #3: recorded")
+            and "'source': 'cache'" in divergence
+            for divergence in report.divergences
+        ), report.divergences
+
     def test_render_mentions_divergence(self, tmp_path):
         path = tmp_path / "session.jsonl"
         record_fig4_session(path)

@@ -158,8 +158,17 @@ class TestPartitionFiltering:
 class TestDebugResultArithmetic:
     def test_total_questions_is_user_plus_auto(self):
         result = DebugResult(
-            bug_node=None, session=Session(), user_questions=6, auto_answers=5
+            bug_node=None,
+            session=Session(),
+            queries_by_source={
+                "user": 6, "assertion": 2, "test-db": 3,
+                "cache": 4, "slice-pruned": 7,
+            },
         )
+        assert result.user_questions == 6
+        assert result.auto_answers == 5
+        assert result.used_test_answers
+        assert result.slice_pruned == 7
         assert result.total_questions == 11
 
     def test_total_questions_matches_session_partition(self):
