@@ -17,9 +17,10 @@ it, and nothing in the program writes it.
 A program is compiled in the one form its caller runs (plain or
 traced), and each routine body only on its first call, so a trace pays
 for the code it executes. Compiled programs are cached in
-:mod:`repro.cache` (cache name ``"compile"``) by analysis identity,
-form, and loop-unit registration, so re-tracing one program (serve,
-replay) skips compilation. The cache is small: almost every sweep
+:mod:`repro.cache` (cache name ``"compile"``) by analysis identity and
+form: a transformed analysis carries its own side effects and loop
+units, so nothing else shapes the code. Re-tracing one program (serve,
+replay) thus skips compilation. The cache is small: almost every sweep
 trace is of new text.
 
 An analysis patched from another (a mutant's, see
@@ -34,7 +35,6 @@ their sweep already ran.
 from __future__ import annotations
 
 import os
-from dataclasses import replace
 
 from repro import cache, obs
 
@@ -72,56 +72,23 @@ def resolve_backend(backend: str | None, traced: bool = True) -> str:
     return backend
 
 
-def _loop_fingerprint(loop_units) -> tuple:
-    """A hashable identity for the loop-unit registration, which changes
-    the traced code the compiler emits."""
-    if not loop_units:
-        return ()
-    return tuple(
-        sorted(
-            (
-                stmt_id,
-                unit.name,
-                tuple(symbol.uid for symbol in unit.inputs),
-                tuple(symbol.uid for symbol in unit.outputs),
-            )
-            for stmt_id, unit in loop_units.items()
-        )
-    )
-
-
-def compile_program(analysis, side_effects=None, loop_units=None, *, traced: bool):
+def compile_program(analysis, *, traced: bool):
     """The :class:`~repro.compile.compiler.CompiledProgram` for an
     analyzed program in one form (``traced`` or plain), served from the
-    compile cache while the same analysis, form, and loop-unit
-    registration are re-run. Routine bodies compile on their first
-    call. A patched analysis compiles as a patch of its base's program
-    (itself served from the cache), sharing every body it shares."""
+    compile cache while the same analysis and form are re-run. Routine
+    bodies compile on their first call. A patched analysis compiles as
+    a patch of its base's program (itself served from the cache),
+    sharing every body it shares."""
     from repro.compile.compiler import compile_analysis
 
-    # Plain closures ignore side effects and loop units.
-    key = (id(analysis), traced, _loop_fingerprint(loop_units) if traced else ())
+    key = (id(analysis), traced)
     hits_before = _COMPILE_CACHE.hits
 
     def build():
-        base, effects = None, side_effects
         origin = analysis.patched_from
-        if origin is not None:
-            base_effects = effects
-            if effects is not None and effects.analysis is analysis:
-                base_effects = replace(effects, analysis=origin)
-            base = compile_program(origin, base_effects, loop_units, traced=traced)
-            if traced and effects is None:
-                # A patch changes an operator or a literal, never an effect.
-                effects = replace(base.side_effects, analysis=analysis)
+        base = None if origin is None else compile_program(origin, traced=traced)
         with obs.span("compile.time", program=analysis.program.name):
-            program = compile_analysis(
-                analysis,
-                side_effects=effects,
-                loop_units=loop_units,
-                traced=traced,
-                base=base,
-            )
+            program = compile_analysis(analysis, traced=traced, base=base)
         obs.add("compile.programs")
         if base is not None:
             obs.add("compile.patched")
@@ -147,8 +114,6 @@ def run_compiled(
 def compiled_trace_session(
     analysis,
     inputs=None,
-    side_effects=None,
-    loop_units=None,
     step_limit: int = 2_000_000,
     budget=None,
     max_tree_nodes: int | None = None,
@@ -159,9 +124,7 @@ def compiled_trace_session(
     from repro.compile.emit import TraceSession
     from repro.pascal.interpreter import PascalIO
 
-    program = compile_program(
-        analysis, side_effects=side_effects, loop_units=loop_units, traced=True
-    )
+    program = compile_program(analysis, traced=True)
     return TraceSession(
         program,
         io=PascalIO(inputs),

@@ -74,20 +74,10 @@ class CompiledProgram:
     set up a run. Holds a strong reference to its analysis so the
     ``id(analysis)``-keyed compile cache can never alias a reused id."""
 
-    __slots__ = (
-        "analysis",
-        "side_effects",
-        "loop_units",
-        "global_symbols",
-        "main",
-        "bodies",
-        "compiler",
-    )
+    __slots__ = ("analysis", "global_symbols", "main", "bodies", "compiler")
 
-    def __init__(self, analysis, side_effects, loop_units, main, bodies, compiler):
+    def __init__(self, analysis, main, bodies, compiler):
         self.analysis = analysis
-        self.side_effects = side_effects
-        self.loop_units = loop_units
         self.global_symbols = list(analysis.main.locals)
         self.main = main
         #: routine bodies (or first-call stubs), by declaration order;
@@ -99,26 +89,16 @@ class CompiledProgram:
 
 
 def compile_analysis(
-    analysis: AnalyzedProgram,
-    side_effects=None,
-    loop_units=None,
-    *,
-    traced: bool,
-    base: CompiledProgram | None = None,
+    analysis: AnalyzedProgram, *, traced: bool, base: CompiledProgram | None = None
 ) -> CompiledProgram:
     """Compile an analyzed program into one backend form. Side effects
-    and loop units only shape the traced form. ``base``, the same form
-    of the analysis ``analysis`` was patched from, lends its main
-    closure and every routine body whose node ``analysis`` shares."""
-    if traced:
-        if side_effects is None:
-            side_effects = analyze_side_effects(analysis)
-        loop_units = dict(loop_units) if loop_units else {}
-    else:
-        side_effects, loop_units = None, {}
-    compiler = Compiler(analysis, side_effects, loop_units, traced)
+    and loop units, which a transformed analysis carries, only shape
+    the traced form. ``base``, the same form of the analysis
+    ``analysis`` was patched from, lends its main closure and every
+    routine body whose node ``analysis`` shares."""
+    compiler = Compiler(analysis, traced)
     main, bodies = compiler.compile_program(base)
-    return CompiledProgram(analysis, side_effects, loop_units, main, bodies, compiler)
+    return CompiledProgram(analysis, main, bodies, compiler)
 
 
 def _lex_depth(routine_symbol) -> int:
@@ -178,10 +158,14 @@ def _local_cell_factory(symbol):
 
 
 class Compiler:
-    def __init__(self, analysis, side_effects, loop_units, traced: bool):
+    def __init__(self, analysis, traced: bool):
         self.analysis = analysis
-        self.side_effects = side_effects
-        self.loop_units = loop_units
+        #: what binding plans read; the traced form of an untransformed
+        #: analysis computes them, or a patch borrows its base's, in
+        #: :meth:`compile_program`
+        self.side_effects = analysis.side_effects
+        view = analysis.view
+        self.loop_units = view.loops if view is not None else {}
         self.traced = traced
         self.global_slot: dict = {}
         self.layouts: dict = {}
@@ -225,6 +209,11 @@ class Compiler:
             for index, (symbol, info) in enumerate(routines):
                 self.layouts[symbol] = _Layout(info)
                 self.body_index[symbol] = index
+        if self.traced and self.side_effects is None:
+            # A patch changes an operator or a literal, never an effect.
+            self.side_effects = (
+                analyze_side_effects(self.analysis) if base is None else lender.side_effects
+            )
         bodies = []
         for index, (symbol, info) in enumerate(routines):
             body = info.block.body

@@ -194,7 +194,6 @@ class TraceSession(Runtime):
         tree.output_writers = dict(self._output_writers)
         return TraceResult(
             analysis=self.program.analysis,
-            side_effects=self.program.side_effects,
             tree=tree,
             dependence_graph=self.ddg,
             execution=execution,

@@ -107,9 +107,9 @@ class GadtSystem:
 
         Queries are phrased in the user's original terms (paper §6.1):
         both engines record the transformed analysis's
-        :class:`~repro.tracing.tracer.ActivationView`. ``tolerate_errors``
-        lets a crashing program yield its partial execution tree so the
-        crash itself can be debugged.
+        :class:`~repro.tracing.tracer.ActivationView`, loop units
+        included. ``tolerate_errors`` lets a crashing program yield its
+        partial execution tree so the crash itself can be debugged.
 
         ``backend`` selects the trace execution engine (``"interp"`` |
         ``"compiled"``; ``None`` means ``REPRO_BACKEND`` if set, else
@@ -129,8 +129,6 @@ class GadtSystem:
         trace = trace_program(
             transformed.analysis,
             inputs=program_inputs,
-            side_effects=transformed.side_effects,
-            loop_units=transformed.loop_units,
             step_limit=step_limit,
             tolerate_errors=tolerate_errors,
             budget=budget,

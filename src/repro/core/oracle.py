@@ -81,7 +81,8 @@ class InteractiveOracle:
 
     Input forms: ``yes``/``y``, ``no``/``n``, ``no 2`` (error on the 2nd
     output), ``no <name>`` (error on output <name>), ``assert <expr>``,
-    ``?``/``dont-know``.
+    ``?``/``dont-know``. An answer it cannot read, such as an output
+    position the unit does not have, is asked again after the usage line.
     """
 
     def __init__(self, input_fn: Callable[[str], str] = input, output: TextIO | None = None):
@@ -116,7 +117,10 @@ class InteractiveOracle:
         if text.startswith("no "):
             spec = raw.strip()[3:].strip()
             if spec.isdigit():
-                return Answer.no_error_on(position=int(spec))
+                position = int(spec)
+                if not 1 <= position <= len(node.outputs):
+                    return None
+                return Answer.no_error_on(position=position)
             if spec:
                 return Answer.no_error_on(variable=spec.lower())
         if text.startswith("assert "):
@@ -175,6 +179,8 @@ class ReferenceOracle:
     ``report_error_position=True`` mimics the paper's user, who points
     out *which* output variable is wrong whenever the unit has several
     outputs — the answer that activates the slicing component.
+    A transformed reference analysis is traced with its loop units, so
+    loop-unit queries are answered from the reference trace too.
     """
 
     def __init__(
@@ -182,13 +188,11 @@ class ReferenceOracle:
         reference_analysis: AnalyzedProgram,
         program_inputs: list[object] | None = None,
         report_error_position: bool = True,
-        loop_units: dict | None = None,
         step_limit: int = 2_000_000,
     ):
         self.reference_analysis = reference_analysis
         self.program_inputs = program_inputs
         self.report_error_position = report_error_position
-        self.loop_units = loop_units
         self.step_limit = step_limit
         self.questions = 0
         self._memo: dict[tuple, list[Expected]] | None = None
@@ -219,7 +223,6 @@ class ReferenceOracle:
             system.analysis,
             program_inputs=program_inputs,
             report_error_position=report_error_position,
-            loop_units=system.transformed.loop_units,
             step_limit=step_limit,
         )
         oracle._memo = _memo_of(system.trace)
@@ -265,7 +268,6 @@ class ReferenceOracle:
                 trace = trace_program(
                     self.reference_analysis,
                     inputs=list(self.program_inputs) if self.program_inputs else None,
-                    loop_units=self.loop_units,
                     step_limit=self.step_limit,
                 )
             except PascalError:

@@ -39,6 +39,7 @@ from repro.pascal.symbols import (
 )
 
 if TYPE_CHECKING:
+    from repro.analysis.sideeffects import SideEffects
     from repro.pascal.pretty import PrintedProgram
     from repro.tracing.tracer import ActivationView
 
@@ -115,9 +116,11 @@ class AnalyzedProgram:
     #: the analysis this one was patched from (:func:`patched_analysis`),
     #: None for a parse: what the compiler shares routine bodies with
     patched_from: "AnalyzedProgram | None" = field(default=None, repr=False, compare=False)
-    #: the user's view of its activations, set on (and inherited by
-    #: patches of) the analysis a transform returns
+    #: the user's view of its activations and the side effects of its
+    #: routines, set on (and inherited by patches of) the analysis a
+    #: transform returns; None elsewhere
     view: "ActivationView | None" = field(default=None, repr=False, compare=False)
+    side_effects: "SideEffects | None" = field(default=None, repr=False, compare=False)
 
     def routine_named(self, qualified_name: str) -> RoutineInfo:
         """Look up a routine by qualified (or unique unqualified) name."""
@@ -855,7 +858,9 @@ def patched_analysis(
     keeps its node id, so each side table of ``base`` is shared; the
     routine infos whose declaration was copied are rebuilt, and with
     them their call sites. The result records ``base`` as the analysis
-    it was patched from.
+    it was patched from, and holds ``base``'s side effects re-pointed
+    at itself: an edit changes an operator or a literal, never an
+    effect.
     """
     for (node, link), changes in edits:
         held = copies.get(id(node), node)  # what the parent holds now
@@ -879,13 +884,16 @@ def patched_analysis(
                 ],
             )
         routines[symbol] = info
-    return replace(
+    patched = replace(
         base,
         program=copies[id(base.program)],
         main=routines[base.main.symbol],
         routines=routines,
         patched_from=base,
     )
+    if base.side_effects is not None:
+        patched.side_effects = replace(base.side_effects, analysis=patched)
+    return patched
 
 
 def _with_child(parent: ast.Node, child: ast.Node, copy: ast.Node) -> ast.Node:

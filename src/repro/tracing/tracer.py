@@ -5,10 +5,11 @@ Implemented as :class:`~repro.pascal.interpreter.ExecutionHooks`. One
 :class:`TraceResult` bundling the execution tree, the dynamic dependence
 graph, and the analyses the debugging phase needs.
 
-Loop units: when a :class:`LoopUnitInfo` registry is supplied (produced
-by the transformation phase's loop-unit pass), each registered loop
-becomes a unit node in the execution tree with per-iteration child nodes
-— the paper's treatment of loops as debuggable units (§5.1, §6.1).
+Loop units: a transformed analysis's :class:`ActivationView` carries
+the registry of the transformation phase's loop-unit pass, and each
+registered loop becomes a unit node in the execution tree with
+per-iteration child nodes — the paper's treatment of loops as
+debuggable units (§5.1, §6.1).
 """
 
 from __future__ import annotations
@@ -56,10 +57,12 @@ class ActivationView(NamedTuple):
     parameters, recorded as globals, and the parameter that carries its
     broken global gotos, recorded as the activation's ``via_goto``.
     Exit parameters and the loop-goto pass's flags and bounds are never
-    recorded."""
+    recorded. ``loops`` is the loop-unit registry (loop statement id ->
+    unit), as computed: each engine drops the hidden variables."""
 
     threaded: dict[str, frozenset[str]]
     exits: dict[str, str]
+    loops: dict[int, LoopUnitInfo]
 
     def hides(self, name: str) -> bool:
         return name in self.exits.values() or name.startswith(("gadt_leave_", "gadt_limit_"))
@@ -165,7 +168,6 @@ class TraceResult:
     """Everything the debugging phase needs from one traced run."""
 
     analysis: AnalyzedProgram
-    side_effects: SideEffects
     tree: ExecutionTree
     dependence_graph: DynamicDependenceGraph
     execution: ExecutionResult
@@ -195,18 +197,15 @@ class Tracer(ExecutionHooks):
     def __init__(
         self,
         analysis: AnalyzedProgram,
-        side_effects: SideEffects | None = None,
-        loop_units: dict[int, LoopUnitInfo] | None = None,
         max_tree_nodes: int | None = None,
         profiler=None,
     ):
         self.analysis = analysis
-        self.side_effects = (
-            side_effects if side_effects is not None else analyze_side_effects(analysis)
-        )
+        self.side_effects = analysis.side_effects or analyze_side_effects(analysis)
+        view = analysis.view
         self.loop_units = {
             stmt_id: loop_symbols(analysis, unit)
-            for stmt_id, unit in (loop_units or {}).items()
+            for stmt_id, unit in (view.loops if view is not None else {}).items()
         }
         self.interpreter: Interpreter | None = None
         #: memory guard: abort the trace when the tree outgrows this
@@ -251,7 +250,6 @@ class Tracer(ExecutionHooks):
         tree.output_writers = dict(self._output_writers)
         return TraceResult(
             analysis=self.analysis,
-            side_effects=self.side_effects,
             tree=tree,
             dependence_graph=self.ddg,
             execution=execution,
@@ -559,8 +557,6 @@ class Tracer(ExecutionHooks):
 def trace_program(
     analysis: AnalyzedProgram,
     inputs: list[object] | None = None,
-    side_effects: SideEffects | None = None,
-    loop_units: dict[int, LoopUnitInfo] | None = None,
     step_limit: int = 2_000_000,
     tolerate_errors: bool = False,
     budget=None,
@@ -569,6 +565,9 @@ def trace_program(
     profiler=None,
 ) -> TraceResult:
     """Run an analyzed program under the tracer (the paper's tracing phase).
+    A transformed analysis brings its side effects and its loop units
+    (:class:`ActivationView`); any other analysis has its side effects
+    computed here and records no loop unit.
 
     With ``tolerate_errors``, a run that dies with a runtime error (bad
     index, division by zero, step limit...) still yields its partial
@@ -612,8 +611,6 @@ def trace_program(
         collector = runner = compiled_trace_session(
             analysis,
             inputs=inputs,
-            side_effects=side_effects,
-            loop_units=loop_units,
             step_limit=step_limit,
             budget=budget,
             max_tree_nodes=max_tree_nodes,
@@ -621,11 +618,7 @@ def trace_program(
         )
     else:
         collector = tracer = Tracer(
-            analysis,
-            side_effects=side_effects,
-            loop_units=loop_units,
-            max_tree_nodes=max_tree_nodes,
-            profiler=profiler,
+            analysis, max_tree_nodes=max_tree_nodes, profiler=profiler
         )
         runner = Interpreter(
             analysis, io=PascalIO(inputs), hooks=tracer, step_limit=step_limit,

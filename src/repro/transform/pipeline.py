@@ -8,10 +8,11 @@ Order of passes:
 3. break global gotos into exit parameters — repeated until no global
    goto remains (each round peels one nesting level),
 4. convert global-variable accesses to ``in``/``out``/``var`` parameters,
-   and attach the :class:`~repro.tracing.tracer.ActivationView` of the
-   parameters steps 3 and 4 added to the resulting analysis, so both
-   engines record each activation as the user sees it,
-5. compute the loop-unit registry on the final program,
+5. compute the side effects and the loop-unit registry of the final
+   program, and attach them to its analysis with the parameters steps 3
+   and 4 added (:class:`~repro.tracing.tracer.ActivationView`): the
+   analysis is all both engines need to trace each activation, loop
+   units included, as the user sees it,
 6. on demand, insert trace-generating actions: the *instrumented*
    program (:attr:`TransformedProgram.instrumented`) is a display
    artifact, built only when something reads it. The tracer attaches to
@@ -75,15 +76,14 @@ from repro.transform.mapping import SourceMap
 
 @dataclass
 class TransformedProgram:
-    """Everything the tracing and debugging phases need."""
+    """Everything the tracing and debugging phases need: ``analysis``
+    carries the side effects, the loop units and the user's view that
+    tracing reads."""
 
     original_analysis: AnalyzedProgram
     analysis: AnalyzedProgram
-    side_effects: SideEffects
     source_map: SourceMap
-    loop_units: dict[int, LoopUnitInfo] = field(default_factory=dict)
     added_params: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
-    exit_params: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     #: taxonomy case name -> gotos classified in the *original* program
     goto_cases: dict[str, int] = field(default_factory=dict)
@@ -93,6 +93,20 @@ class TransformedProgram:
     @property
     def program(self) -> ast.Program:
         return self.analysis.program
+
+    @property
+    def side_effects(self) -> SideEffects:
+        return self.analysis.side_effects
+
+    @property
+    def loop_units(self) -> dict[int, LoopUnitInfo]:
+        """Loop statement id -> its unit (paper §6)."""
+        return self.analysis.view.loops
+
+    @property
+    def exit_params(self) -> dict[str, str]:
+        """Routine name -> the parameter carrying its global gotos."""
+        return self.analysis.view.exits
 
     def original_node_id(self, transformed_id: int) -> int | None:
         """Map a transformed construct back to the user's source construct."""
@@ -226,21 +240,23 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
 
     # 4. globals to parameters
     with obs.span("transform.pass.globals_to_params"):
-        side_effects = analyze_side_effects(analysis)
-        globals_result = convert_globals_to_params(analysis, side_effects)
+        globals_result = convert_globals_to_params(analysis, analyze_side_effects(analysis))
         warnings.extend(globals_result.warnings)
         accumulated = _compose(globals_result.source_map, accumulated)
         analysis = analyze(globals_result.program)
-        threaded = globals_result.added_params.items()
-        analysis.view = ActivationView(
-            {unit: frozenset(name for name, _mode in params) for unit, params in threaded},
-            exit_params,
-        )
         side_effects = analyze_side_effects(analysis)
 
-    # 5. loop units on the final program
+    # 5. loop units on the final program, then everything tracing reads
+    #    goes on its analysis, before anything else sees it
     with obs.span("transform.pass.loop_units"):
         loop_units = compute_loop_units(analysis, side_effects)
+    threaded = globals_result.added_params.items()
+    analysis.view = ActivationView(
+        {unit: frozenset(name for name, _mode in params) for unit, params in threaded},
+        exit_params,
+        loop_units,
+    )
+    analysis.side_effects = side_effects
 
     if obs.enabled():
         obs.add("transform.programs")
@@ -255,11 +271,8 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     return TransformedProgram(
         original_analysis=original,
         analysis=analysis,
-        side_effects=side_effects,
         source_map=accumulated,
-        loop_units=loop_units,
         added_params=globals_result.added_params,
-        exit_params=exit_params,
         warnings=warnings,
         goto_cases={case: count for case, count in goto_cases.items() if count},
         goto_eliminated=goto_eliminated,
@@ -301,10 +314,11 @@ class TransformPatch:
         Each image of the faulty node gets the fault's change and every
         image of an expression on the re-rendered line its new location;
         each keeps its node id. Only they and their ancestors are
-        copied: every other node, the source map, the side effects, the
-        loop units and the pass reports are shared with ``base``, which
-        is never written. ``SideEffects.analysis`` and the routine infos
-        of copied routines are rebuilt. The instrumented program is not
+        copied: every other node, the source map, the view (loop units
+        included) and the pass reports are shared with ``base``, which
+        is never written. The side effects and the routine infos of
+        copied routines are rebuilt (:func:`patched_analysis`). The
+        instrumented program is not
         built: the variant's :attr:`TransformedProgram.instrumented`
         builds it from the patched analysis when read.
         """
@@ -325,12 +339,10 @@ class TransformPatch:
                     edits.append((path, edit))
         if not edits:  # the fault sat in code a pass deleted
             return replace(base, original_analysis=original)
-        analysis = patched_analysis(base.analysis, edits, {})
         return replace(
             base,
             original_analysis=original,
-            analysis=analysis,
-            side_effects=replace(base.side_effects, analysis=analysis),
+            analysis=patched_analysis(base.analysis, edits, {}),
         )
 
 

@@ -90,9 +90,9 @@ class TestOneFormLazily:
         built = []
         original = compiler_module.Compiler.__init__
 
-        def spy(self, analysis, side_effects, loop_units, traced):
+        def spy(self, analysis, traced):
             built.append(traced)
-            original(self, analysis, side_effects, loop_units, traced)
+            original(self, analysis, traced)
 
         monkeypatch.setattr(compiler_module.Compiler, "__init__", spy)
         return built
@@ -102,7 +102,7 @@ class TestOneFormLazily:
         program = compile_program(analyze_source(SOURCE), traced=traced)
         assert compilers == [traced]
         # Only the traced form needs the side-effect analysis.
-        assert (program.side_effects is not None) is traced
+        assert (program.compiler.side_effects is not None) is traced
 
     def test_forms_are_cached_apart(self, compilers):
         analysis = analyze_source(SOURCE)

@@ -56,9 +56,7 @@ def _run(program):
 
 
 def _traced(transformed):
-    return compile_program(
-        transformed.analysis, transformed.side_effects, transformed.loop_units, traced=True
-    )
+    return compile_program(transformed.analysis, traced=True)
 
 
 def _snapshot(program) -> tuple:
@@ -96,9 +94,7 @@ def test_every_mutant_compiles_as_a_patch_of_its_host(name):
             patched += 1
             assert analysis.patched_from is host_transform.analysis
             _assert_shares_unchanged_bodies(program, host_traced)
-        fresh = compile_analysis(
-            analysis, transformed.side_effects, transformed.loop_units, traced=True
-        )
+        fresh = compile_analysis(analysis, traced=True)
         trace_a, error_a = _trace(program)
         trace_b, error_b = _trace(fresh)
         assert error_a == error_b, mutant.description
@@ -149,23 +145,14 @@ class TestRacingOnTheHostsStubs:
         chosen = [leaf[0], leaf[-1]]
         transforms = [transform_source(mutant.source) for mutant in chosen]
         serial = [
-            _trace(
-                compile_analysis(
-                    t.analysis, t.side_effects, t.loop_units, traced=True
-                )
-            )[0]
+            _trace(compile_analysis(t.analysis, traced=True))[0]
             for t in transforms
         ]
 
         # A fresh host program: every body it lends is still a stub.
         cache.register("compile").clear()
         programs = [_traced(t) for t in transforms]
-        host = compile_program(
-            transforms[0].analysis.patched_from,
-            transforms[0].side_effects,
-            transforms[0].loop_units,
-            traced=True,
-        )
+        host = compile_program(transforms[0].analysis.patched_from, traced=True)
         before = _snapshot(host)
         barrier = threading.Barrier(self.THREADS)
         traces = [None] * self.THREADS

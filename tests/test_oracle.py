@@ -4,6 +4,7 @@ import io
 
 import pytest
 
+from repro.core import GadtSystem
 from repro.core.oracle import (
     FunctionOracle,
     InteractiveOracle,
@@ -13,6 +14,8 @@ from repro.core.oracle import (
 from repro.core.queries import Answer, AnswerKind, Query
 from repro.pascal.semantics import analyze_source
 from repro.tracing import trace_source
+from repro.tracing.execution_tree import NodeKind
+from repro.transform import transform_source
 from repro.workloads import FIGURE4_FIXED_SOURCE, FIGURE4_SOURCE
 
 
@@ -164,6 +167,37 @@ class TestInteractiveOracle:
         oracle = self.answers("?")
         answer = oracle.answer(Query(buggy_trace.tree.find("arrsum")))
         assert answer.kind is AnswerKind.DONT_KNOW
+
+    def test_out_of_range_position_asks_again(self, buggy_trace):
+        node = buggy_trace.tree.find("computs")
+        oracle = self.answers("no 9", "no 0", f"no {len(node.outputs)}")
+        answer = oracle.answer(Query(node))
+        assert answer.error_position == len(node.outputs)
+        assert answer.resolve_error_variable(node) == node.outputs[-1].name
+        assert oracle._output.getvalue().count("answers: yes | no") == 2
+
+
+class TestTransformedReference:
+    FIXED = """
+    program t;
+    var n, s: integer;
+    begin
+      n := 3; s := 0;
+      while n > 0 do begin s := s + n; n := n - 1 end;
+      writeln(s)
+    end.
+    """
+
+    @staticmethod
+    def loop_of(source):
+        trace = GadtSystem.from_source(source).trace
+        return next(node for node in trace.tree.walk() if node.kind is NodeKind.LOOP)
+
+    def test_loop_unit_queries_are_answered_from_the_reference_trace(self):
+        oracle = ReferenceOracle(transform_source(self.FIXED).analysis)
+        buggy = self.FIXED.replace("s := s + n;", "s := s + n + 1;")
+        assert oracle.answer(Query(self.loop_of(buggy))).is_incorrect
+        assert oracle.answer(Query(self.loop_of(self.FIXED))).is_correct
 
 
 class TestGotoEscapeOutParam:

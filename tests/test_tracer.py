@@ -1,10 +1,16 @@
 """Unit tests for the tracing phase."""
 
+import pytest
+
+from repro import cache
+from repro.compile import BACKENDS
+from repro.core import GadtSystem, ReferenceOracle
 from repro.pascal.semantics import analyze_source
 from repro.tracing import trace_source
 from repro.tracing.execution_tree import BindingMode, NodeKind
 from repro.tracing.tracer import trace_program
 from repro.transform import transform_source
+from tests.canonical_forms import trace_form
 
 
 def trace(source: str, inputs=None):
@@ -212,12 +218,7 @@ class TestLoopUnits:
         """
 
     def trace_with_units(self):
-        transformed = transform_source(self.source())
-        return trace_program(
-            transformed.analysis,
-            side_effects=transformed.side_effects,
-            loop_units=transformed.loop_units,
-        )
+        return trace_program(transform_source(self.source()).analysis)
 
     def test_loop_node_created(self):
         result = self.trace_with_units()
@@ -251,16 +252,47 @@ class TestLoopUnits:
           writeln(s)
         end.
         """
-        transformed = transform_source(source)
-        result = trace_program(
-            transformed.analysis,
-            side_effects=transformed.side_effects,
-            loop_units=transformed.loop_units,
-        )
+        result = trace_program(transform_source(source).analysis)
         loop = result.tree.find("t$for1")
         first_iteration = loop.children[0]
         assert first_iteration.kind is NodeKind.ITERATION
         assert [c.unit_name for c in first_iteration.children] == ["bump"]
+
+
+class TestTransformedAnalysisAlone:
+    """A transformed analysis carries everything its trace records: the
+    side effects, the user's view and the loop units."""
+
+    SOURCE = """
+    program t;
+    var n, s: integer;
+    procedure add(k: integer);
+    begin s := s + k end;
+    begin
+      n := 3; s := 0;
+      while n > 0 do begin add(n); n := n - 1 end;
+      writeln(s)
+    end.
+    """
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_the_analysis_alone_traces_as_the_debugger_does(self, backend):
+        analysis = transform_source(self.SOURCE).analysis
+        alone = trace_program(analysis, backend=backend)
+        system = GadtSystem.from_source(self.SOURCE, backend=backend)
+        assert system.analysis is analysis
+        kinds = [node.kind for node in alone.tree.walk()]
+        assert NodeKind.LOOP in kinds and NodeKind.ITERATION in kinds
+        assert trace_form(alone, analysis) == trace_form(system.trace, analysis)
+
+    def test_a_program_and_its_reference_share_one_traced_compile(self):
+        compile_cache = cache.register("compile")
+        cache.clear_caches()
+        GadtSystem.from_source(self.SOURCE, backend="compiled")
+        hits = compile_cache.hits
+        ReferenceOracle.from_source(self.SOURCE, backend="compiled")
+        assert len(compile_cache) == 1
+        assert compile_cache.hits == hits + 1
 
 
 class TestOutputWriters:

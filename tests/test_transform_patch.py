@@ -58,8 +58,6 @@ def _traced(transformed, backend):
     try:
         trace = trace_program(
             transformed.analysis,
-            side_effects=transformed.side_effects,
-            loop_units=transformed.loop_units,
             step_limit=STEP_LIMIT,
             backend=backend,
         )
@@ -268,9 +266,10 @@ class TestReadOnly:
         mutants = generate_mutants(source)
         host = transform_source(registered_patch(mutants[0].source).printed.text)
         before = canonical_transform(host)
+        carried = {"loop_units": host.loop_units, "exit_params": host.exit_params}
         tables = {
             name: (value, dict(value) if isinstance(value, dict) else list(value))
-            for name, value in vars(host).items()
+            for name, value in {**vars(host), **carried}.items()
             if isinstance(value, (dict, list))
         }
         shared = {id(node) for node in host.program.walk()}
@@ -294,6 +293,23 @@ class TestReadOnly:
         assert canonical_transform(host) == before
         for name, (value, copy) in tables.items():
             assert value == copy, name
+
+    def test_a_patch_shares_the_host_loop_units_and_owns_its_side_effects(self):
+        mutants = generate_mutants(HOSTS["FIGURE4_FIXED_SOURCE"])
+        host = transform_source(registered_patch(mutants[0].source).printed.text)
+        assert host.loop_units
+        assert host.side_effects.analysis is host.analysis
+        patched = [
+            transformed
+            for transformed in (transform_source(m.source) for m in mutants)
+            if transformed.analysis.patched_from is host.analysis
+        ]
+        assert len(patched) > len(mutants) // 2
+        for transformed in patched:
+            assert transformed.analysis.view is host.analysis.view
+            assert transformed.loop_units is host.loop_units
+            assert transformed.side_effects.analysis is transformed.analysis
+            assert transformed.side_effects.effects is host.side_effects.effects
 
 
 class TestSweep:

@@ -96,9 +96,7 @@ class TestBugReports:
         from repro.transform import transform_source
 
         reference = transform_source(LOOPY_FIXED)
-        oracle = ReferenceOracle(
-            reference.analysis, loop_units=reference.loop_units
-        )
+        oracle = ReferenceOracle(reference.analysis)
         result = system.debugger(oracle).debug()
         assert result.bug_unit == "sum_to$for1"
         report = system.show_bug(result)
