@@ -51,7 +51,6 @@ from __future__ import annotations
 from time import perf_counter
 
 from repro import obs
-from repro.analysis.sideeffects import analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
 from repro.pascal.interpreter import GotoSignal
@@ -160,10 +159,6 @@ def _local_cell_factory(symbol):
 class Compiler:
     def __init__(self, analysis, traced: bool):
         self.analysis = analysis
-        #: what binding plans read; the traced form of an untransformed
-        #: analysis computes them, or a patch borrows its base's, in
-        #: :meth:`compile_program`
-        self.side_effects = analysis.side_effects
         view = analysis.view
         self.loop_units = view.loops if view is not None else {}
         self.traced = traced
@@ -209,11 +204,6 @@ class Compiler:
             for index, (symbol, info) in enumerate(routines):
                 self.layouts[symbol] = _Layout(info)
                 self.body_index[symbol] = index
-        if self.traced and self.side_effects is None:
-            # A patch changes an operator or a literal, never an effect.
-            self.side_effects = (
-                analyze_side_effects(self.analysis) if base is None else lender.side_effects
-            )
         bodies = []
         for index, (symbol, info) in enumerate(routines):
             body = info.block.body
@@ -318,7 +308,7 @@ class Compiler:
         info = self.analysis.routines[target]
         layout = self.layouts[target]
         callee_ctx = _Ctx(info, owner=target, lex_depth=layout.lex_depth)
-        symbols = activation_symbols(self.analysis, self.side_effects, info)
+        symbols = activation_symbols(self.analysis, info)
 
         def entries(pairs):
             return [

@@ -82,7 +82,8 @@ class InteractiveOracle:
     Input forms: ``yes``/``y``, ``no``/``n``, ``no 2`` (error on the 2nd
     output), ``no <name>`` (error on output <name>), ``assert <expr>``,
     ``?``/``dont-know``. An answer it cannot read, such as an output
-    position the unit does not have, is asked again after the usage line.
+    position or name the unit does not have, is asked again after the
+    usage line.
     """
 
     def __init__(self, input_fn: Callable[[str], str] = input, output: TextIO | None = None):
@@ -121,8 +122,10 @@ class InteractiveOracle:
                 if not 1 <= position <= len(node.outputs):
                     return None
                 return Answer.no_error_on(position=position)
-            if spec:
-                return Answer.no_error_on(variable=spec.lower())
+            for binding in node.outputs:
+                if binding.name.lower() == spec.lower():
+                    return Answer.no_error_on(variable=binding.name)
+            return None
         if text.startswith("assert "):
             from repro.core.assertions import Assertion
 

@@ -24,6 +24,7 @@ from typing import TYPE_CHECKING
 
 from repro import cache as _cache
 from repro import obs
+from repro.lazy import shared_cached_property
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import SemanticError, SourceLocation
 from repro.pascal.symbols import (
@@ -116,11 +117,21 @@ class AnalyzedProgram:
     #: the analysis this one was patched from (:func:`patched_analysis`),
     #: None for a parse: what the compiler shares routine bodies with
     patched_from: "AnalyzedProgram | None" = field(default=None, repr=False, compare=False)
-    #: the user's view of its activations and the side effects of its
-    #: routines, set on (and inherited by patches of) the analysis a
-    #: transform returns; None elsewhere
+    #: the user's view of its activations, set on (and inherited by
+    #: patches of) the analysis a transform returns; None elsewhere
     view: "ActivationView | None" = field(default=None, repr=False, compare=False)
-    side_effects: "SideEffects | None" = field(default=None, repr=False, compare=False)
+
+    @shared_cached_property
+    def side_effects(self) -> SideEffects:
+        """The side effects of its routines, computed on first read. A
+        patch has its base's, re-pointed at itself: an edit changes an
+        operator or a literal, never an effect."""
+        from repro.analysis.sideeffects import analyze_side_effects
+
+        base = self.patched_from
+        if base is None:
+            return analyze_side_effects(self)
+        return replace(base.side_effects, analysis=self)
 
     def routine_named(self, qualified_name: str) -> RoutineInfo:
         """Look up a routine by qualified (or unique unqualified) name."""
@@ -858,9 +869,7 @@ def patched_analysis(
     keeps its node id, so each side table of ``base`` is shared; the
     routine infos whose declaration was copied are rebuilt, and with
     them their call sites. The result records ``base`` as the analysis
-    it was patched from, and holds ``base``'s side effects re-pointed
-    at itself: an edit changes an operator or a literal, never an
-    effect.
+    it was patched from, which its side effects are taken from.
     """
     for (node, link), changes in edits:
         held = copies.get(id(node), node)  # what the parent holds now
@@ -884,16 +893,13 @@ def patched_analysis(
                 ],
             )
         routines[symbol] = info
-    patched = replace(
+    return replace(
         base,
         program=copies[id(base.program)],
         main=routines[base.main.symbol],
         routines=routines,
         patched_from=base,
     )
-    if base.side_effects is not None:
-        patched.side_effects = replace(base.side_effects, analysis=patched)
-    return patched
 
 
 def _with_child(parent: ast.Node, child: ast.Node, copy: ast.Node) -> ast.Node:

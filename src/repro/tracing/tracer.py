@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
-from repro.analysis.sideeffects import SideEffects, analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.interpreter import (
     Cell,
@@ -86,9 +85,7 @@ class ActivationSymbols(NamedTuple):
     exit: Symbol | None = None
 
 
-def activation_symbols(
-    analysis: AnalyzedProgram, side_effects: SideEffects, info: RoutineInfo
-) -> ActivationSymbols:
+def activation_symbols(analysis: AnalyzedProgram, info: RoutineInfo) -> ActivationSymbols:
     """The binding policy: which values an activation of ``info``
     carries into the execution tree as its inputs and outputs (paper
     §5.2). Both engines map these symbols to storage their own way, the
@@ -109,6 +106,7 @@ def activation_symbols(
     from repro.analysis.cfg import build_cfg
     from repro.analysis.dataflow import live_variables
 
+    side_effects = analysis.side_effects
     effects = side_effects.of(info.symbol)
     cfg = build_cfg(info, analysis)
     # live *after* the entry node (parameter binding): the incoming
@@ -201,7 +199,6 @@ class Tracer(ExecutionHooks):
         profiler=None,
     ):
         self.analysis = analysis
-        self.side_effects = analysis.side_effects or analyze_side_effects(analysis)
         view = analysis.view
         self.loop_units = {
             stmt_id: loop_symbols(analysis, unit)
@@ -468,7 +465,7 @@ class Tracer(ExecutionHooks):
     def _activation(self, info: RoutineInfo) -> ActivationSymbols:
         symbols = self._activations.get(info.symbol)
         if symbols is None:
-            symbols = activation_symbols(self.analysis, self.side_effects, info)
+            symbols = activation_symbols(self.analysis, info)
             self._activations[info.symbol] = symbols
         return symbols
 
@@ -565,9 +562,11 @@ def trace_program(
     profiler=None,
 ) -> TraceResult:
     """Run an analyzed program under the tracer (the paper's tracing phase).
-    A transformed analysis brings its side effects and its loop units
-    (:class:`ActivationView`); any other analysis has its side effects
-    computed here and records no loop unit.
+    A transformed analysis brings its loop units
+    (:class:`ActivationView`); any other analysis records no loop unit.
+    The loop units and the side effects that choose the bindings are
+    computed on first read: the :class:`Tracer` reads every loop unit up
+    front, the compiled engine a routine's when it compiles its body.
 
     With ``tolerate_errors``, a run that dies with a runtime error (bad
     index, division by zero, step limit...) still yields its partial

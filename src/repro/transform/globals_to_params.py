@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.analysis.sideeffects import SideEffects, analyze_side_effects
+from repro.analysis.sideeffects import analyze_side_effects
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import AnalyzedProgram
 from repro.pascal.symbols import Symbol, SymbolKind
@@ -47,9 +47,8 @@ from repro.transform.mapping import SourceMap  # noqa: E402  (doc order)
 
 
 class _GlobalsToParams(Rewriter):
-    def __init__(self, analysis: AnalyzedProgram, side_effects: SideEffects):
+    def __init__(self, analysis: AnalyzedProgram):
         super().__init__(analysis)
-        self.side_effects = side_effects
         self.warnings: list[str] = []
         #: routine symbol -> ordered [(symbol, mode)]
         self.extra: dict[Symbol, list[tuple[Symbol, str]]] = {}
@@ -59,8 +58,12 @@ class _GlobalsToParams(Rewriter):
     # ------------------------------------------------------------------
 
     def _compute_extra_params(self) -> None:
+        # Computed here, not read through ``analysis.side_effects``: the
+        # input is often the user's cached analysis, which would keep
+        # them alive after the pass for no reader.
+        side_effects = analyze_side_effects(self.analysis)
         for info in self.analysis.user_routines():
-            effects = self.side_effects.of(info.symbol)
+            effects = side_effects.of(info.symbol)
             variables = {
                 symbol
                 for symbol in effects.gref | effects.gmod
@@ -191,14 +194,9 @@ class _GlobalsToParams(Rewriter):
         return self.copy(expr)
 
 
-def convert_globals_to_params(
-    analysis: AnalyzedProgram, side_effects: SideEffects | None = None
-) -> GlobalsToParamsResult:
+def convert_globals_to_params(analysis: AnalyzedProgram) -> GlobalsToParamsResult:
     """Run the globals-to-parameters transformation on an analyzed program."""
-    effects = (
-        side_effects if side_effects is not None else analyze_side_effects(analysis)
-    )
-    rewriter = _GlobalsToParams(analysis, effects)
+    rewriter = _GlobalsToParams(analysis)
     program = rewriter.rewrite_program()
     return GlobalsToParamsResult(
         program=program,

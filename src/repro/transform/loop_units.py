@@ -14,14 +14,20 @@ For every while/repeat/for statement this pass computes a
   loop (its observable results).
 
 The tracer uses the registry to create loop-unit nodes with per-iteration
-children in the execution tree.
+children in the execution tree. A transform's registry is a
+:class:`LoopUnits`, which computes a routine's units on the first
+lookup of one of its loops: a transform that is only printed computes
+none.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+
+from repro import obs
 from repro.analysis.cfg import CFG, CFGNode, NodeKind, build_cfg
 from repro.analysis.dataflow import live_variables
-from repro.analysis.sideeffects import SideEffects, analyze_side_effects
+from repro.lazy import fill_once, shared_cached_property
 from repro.pascal import ast_nodes as ast
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
 from repro.pascal.symbols import Symbol
@@ -35,21 +41,67 @@ _LOOP_KEYWORD = {
 
 
 def compute_loop_units(
-    analysis: AnalyzedProgram, side_effects: SideEffects | None = None
+    analysis: AnalyzedProgram, routine: RoutineInfo | None = None
 ) -> dict[int, LoopUnitInfo]:
-    """Build the loop-unit registry: loop statement node id -> unit info."""
-    effects = (
-        side_effects if side_effects is not None else analyze_side_effects(analysis)
-    )
+    """The loop-unit registry, loop statement node id -> unit info, of
+    every routine of ``analysis``, or of ``routine`` alone."""
+    routines = analysis.all_routines() if routine is None else [routine]
     registry: dict[int, LoopUnitInfo] = {}
-    for info in analysis.all_routines():
-        registry.update(_units_of_routine(info, analysis, effects))
+    for info in routines:
+        registry.update(_units_of_routine(info, analysis))
     return registry
 
 
-def _units_of_routine(
-    info: RoutineInfo, analysis: AnalyzedProgram, effects: SideEffects
-) -> dict[int, LoopUnitInfo]:
+class LoopUnits(Mapping[int, LoopUnitInfo]):
+    """The loop-unit registry of ``analysis``, computed routine by
+    routine: a lookup of a loop computes the units of its routine
+    (:func:`compute_loop_units`) unless they are known. Iterating it, or
+    taking its length, computes every routine's first, so an iteration
+    never sees the registry grow. It equals ``compute_loop_units(analysis)``.
+    """
+
+    def __init__(self, analysis: AnalyzedProgram):
+        self._analysis = analysis
+        #: routine symbol -> its units, each entry stored complete
+        self._by_routine: dict[Symbol, dict[int, LoopUnitInfo]] = {}
+
+    def _of_routine(self, symbol: Symbol) -> dict[int, LoopUnitInfo]:
+        return fill_once(self._by_routine, symbol, lambda: self._compute(symbol))
+
+    def _compute(self, symbol: Symbol) -> dict[int, LoopUnitInfo]:
+        info = self._analysis.routines[symbol]
+        with obs.span("transform.pass.loop_units", routine=info.name):
+            units = compute_loop_units(self._analysis, info)
+        obs.add("transform.loop_units", len(units))
+        return units
+
+    @shared_cached_property
+    def _all(self) -> dict[int, LoopUnitInfo]:
+        merged: dict[int, LoopUnitInfo] = {}
+        for symbol in self._analysis.routines:
+            merged.update(self._of_routine(symbol))
+        return merged
+
+    def get(self, stmt_id: int, default=None):
+        symbol = self._analysis.stmt_routine.get(stmt_id)
+        if symbol is None:
+            return default
+        return self._of_routine(symbol).get(stmt_id, default)
+
+    def __getitem__(self, stmt_id: int) -> LoopUnitInfo:
+        unit = self.get(stmt_id)
+        if unit is None:
+            raise KeyError(stmt_id)
+        return unit
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._all)
+
+    def __len__(self) -> int:
+        return len(self._all)
+
+
+def _units_of_routine(info: RoutineInfo, analysis: AnalyzedProgram) -> dict[int, LoopUnitInfo]:
     loops = [
         stmt
         for stmt in ast.iter_statements(info.block.body)
@@ -59,7 +111,7 @@ def _units_of_routine(
         return {}
 
     cfg = build_cfg(info, analysis)
-    live = live_variables(cfg, effects)
+    live = live_variables(cfg, analysis.side_effects)
     def_use = live.def_use
 
     registry: dict[int, LoopUnitInfo] = {}

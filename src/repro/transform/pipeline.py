@@ -8,11 +8,13 @@ Order of passes:
 3. break global gotos into exit parameters — repeated until no global
    goto remains (each round peels one nesting level),
 4. convert global-variable accesses to ``in``/``out``/``var`` parameters,
-5. compute the side effects and the loop-unit registry of the final
-   program, and attach them to its analysis with the parameters steps 3
-   and 4 added (:class:`~repro.tracing.tracer.ActivationView`): the
-   analysis is all both engines need to trace each activation, loop
-   units included, as the user sees it,
+5. on first read, analyze the final program and attach the parameters
+   steps 3 and 4 added and its loop units to the analysis
+   (:class:`~repro.tracing.tracer.ActivationView`): the analysis is all
+   both engines need to trace each activation, loop units included, as
+   the user sees it. Its side effects and each routine's loop units are
+   in turn computed on first read, so a transform that is only printed
+   builds none of them,
 6. on demand, insert trace-generating actions: the *instrumented*
    program (:attr:`TransformedProgram.instrumented`) is a display
    artifact, built only when something reads it. The tracer attaches to
@@ -43,11 +45,11 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 from repro import cache as _cache
 from repro import obs
-from repro.analysis.sideeffects import SideEffects, analyze_side_effects
+from repro.analysis.sideeffects import SideEffects
+from repro.lazy import shared_cached_property
 from repro.pascal import ast_nodes as ast
 from repro.pascal.parser import parse_program
 from repro.pascal.pretty import print_program, print_routine
@@ -59,7 +61,7 @@ from repro.pascal.semantics import (
     patched_analysis,
     registered_patch,
 )
-from repro.tracing.tracer import ActivationView, LoopUnitInfo
+from repro.tracing.tracer import ActivationView
 from repro.transform.globals_to_params import convert_globals_to_params
 from repro.transform.goto_elimination import (
     GotoEliminationResult,
@@ -70,7 +72,7 @@ from repro.transform.goto_elimination import (
 )
 from repro.transform.goto_taxonomy import TaxonomyReport, classify_program
 from repro.transform.instrument import InstrumentResult, instrument_program
-from repro.transform.loop_units import compute_loop_units
+from repro.transform.loop_units import LoopUnits
 from repro.transform.mapping import SourceMap
 
 
@@ -78,41 +80,48 @@ from repro.transform.mapping import SourceMap
 class TransformedProgram:
     """Everything the tracing and debugging phases need: ``analysis``
     carries the side effects, the loop units and the user's view that
-    tracing reads."""
+    tracing reads. It is built on first read; ``program`` and the pass
+    reports need no analysis."""
 
     original_analysis: AnalyzedProgram
-    analysis: AnalyzedProgram
+    program: ast.Program
     source_map: SourceMap
     added_params: dict[str, list[tuple[str, str]]] = field(default_factory=dict)
+    #: routine name -> the parameter carrying its global gotos
+    exit_params: dict[str, str] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     #: taxonomy case name -> gotos classified in the *original* program
     goto_cases: dict[str, int] = field(default_factory=dict)
     #: taxonomy case name -> gotos the reduction passes eliminated
     goto_eliminated: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def program(self) -> ast.Program:
-        return self.analysis.program
+    @shared_cached_property
+    def analysis(self) -> AnalyzedProgram:
+        """The analysis of :attr:`program`, with the user's view of its
+        activations attached (the same object for every reader)."""
+        analysis = analyze(self.program)
+        threaded = self.added_params.items()
+        analysis.view = ActivationView(
+            {unit: frozenset(name for name, _mode in params) for unit, params in threaded},
+            self.exit_params,
+            LoopUnits(analysis),
+        )
+        return analysis
 
     @property
     def side_effects(self) -> SideEffects:
         return self.analysis.side_effects
 
     @property
-    def loop_units(self) -> dict[int, LoopUnitInfo]:
+    def loop_units(self) -> LoopUnits:
         """Loop statement id -> its unit (paper §6)."""
         return self.analysis.view.loops
-
-    @property
-    def exit_params(self) -> dict[str, str]:
-        """Routine name -> the parameter carrying its global gotos."""
-        return self.analysis.view.exits
 
     def original_node_id(self, transformed_id: int) -> int | None:
         """Map a transformed construct back to the user's source construct."""
         return self.source_map.original_id(transformed_id)
 
-    @cached_property
+    @shared_cached_property
     def images(self) -> dict[int, list[tuple]]:
         """Original node id -> the path of each transformed expression
         the source map traces back to it, ``(image, (parent, (...,
@@ -129,7 +138,7 @@ class TransformedProgram:
             stack.extend((child, path) for child in node.children())
         return index
 
-    @cached_property
+    @shared_cached_property
     def instrumented(self) -> InstrumentResult:
         """The program with trace-generating actions inserted (paper
         §6), its source map mapping to the user's source. Built on first
@@ -238,29 +247,15 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
                 f"global gotos remained after {MAX_GOTO_ROUNDS} rounds"
             )
 
-    # 4. globals to parameters
+    # 4. globals to parameters; the final analysis, its side effects
+    #    and its loop units (step 5) wait for their first reader
     with obs.span("transform.pass.globals_to_params"):
-        globals_result = convert_globals_to_params(analysis, analyze_side_effects(analysis))
+        globals_result = convert_globals_to_params(analysis)
         warnings.extend(globals_result.warnings)
         accumulated = _compose(globals_result.source_map, accumulated)
-        analysis = analyze(globals_result.program)
-        side_effects = analyze_side_effects(analysis)
-
-    # 5. loop units on the final program, then everything tracing reads
-    #    goes on its analysis, before anything else sees it
-    with obs.span("transform.pass.loop_units"):
-        loop_units = compute_loop_units(analysis, side_effects)
-    threaded = globals_result.added_params.items()
-    analysis.view = ActivationView(
-        {unit: frozenset(name for name, _mode in params) for unit, params in threaded},
-        exit_params,
-        loop_units,
-    )
-    analysis.side_effects = side_effects
 
     if obs.enabled():
         obs.add("transform.programs")
-        obs.add("transform.loop_units", len(loop_units))
         obs.add("transform.warnings", len(warnings))
         obs.add("transform.passes_skipped", skipped)
         for case, count in goto_cases.items():
@@ -270,9 +265,10 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
 
     return TransformedProgram(
         original_analysis=original,
-        analysis=analysis,
+        program=globals_result.program,
         source_map=accumulated,
         added_params=globals_result.added_params,
+        exit_params=exit_params,
         warnings=warnings,
         goto_cases={case: count for case, count in goto_cases.items() if count},
         goto_eliminated=goto_eliminated,
@@ -316,11 +312,13 @@ class TransformPatch:
         each keeps its node id. Only they and their ancestors are
         copied: every other node, the source map, the view (loop units
         included) and the pass reports are shared with ``base``, which
-        is never written. The side effects and the routine infos of
-        copied routines are rebuilt (:func:`patched_analysis`). The
-        instrumented program is not
-        built: the variant's :attr:`TransformedProgram.instrumented`
-        builds it from the patched analysis when read.
+        is never written. The routine infos of copied routines are
+        rebuilt (:func:`patched_analysis`); the side effects are
+        ``base``'s, re-pointed when first read. The patch is built from
+        ``base``'s analysis, so it builds that if nothing has read it.
+        The instrumented program is not built: the variant's
+        :attr:`TransformedProgram.instrumented` builds it from the
+        patched analysis when read.
         """
         base, recipe = self.base, self.recipe
         node, fault = recipe.path[0], recipe.fault
@@ -337,13 +335,12 @@ class TransformPatch:
                     edit["location"] = location
                 if edit:
                     edits.append((path, edit))
-        if not edits:  # the fault sat in code a pass deleted
-            return replace(base, original_analysis=original)
-        return replace(
-            base,
-            original_analysis=original,
-            analysis=patched_analysis(base.analysis, edits, {}),
-        )
+        analysis = base.analysis
+        if edits:  # else the fault sat in code a pass deleted
+            analysis = patched_analysis(analysis, edits, {})
+        transformed = replace(base, original_analysis=original, program=analysis.program)
+        transformed.__dict__["analysis"] = analysis  # built: no first read to wait for
+        return transformed
 
 
 #: cache for :func:`cached_transform`, keyed by the identity of the

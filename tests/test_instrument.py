@@ -12,7 +12,7 @@ from repro.transform.loop_units import compute_loop_units
 def instrument(source: str):
     analysis = analyze_source(source)
     effects = analyze_side_effects(analysis)
-    units = compute_loop_units(analysis, effects)
+    units = compute_loop_units(analysis)
     return instrument_program(analysis, effects, units), analysis
 
 

@@ -176,6 +176,14 @@ class TestInteractiveOracle:
         assert answer.resolve_error_variable(node) == node.outputs[-1].name
         assert oracle._output.getvalue().count("answers: yes | no") == 2
 
+    def test_unknown_output_name_asks_again(self, buggy_trace):
+        node = buggy_trace.tree.find("computs")
+        name = node.outputs[0].name
+        oracle = self.answers("no zzz", f"no {name.upper()}")
+        answer = oracle.answer(Query(node))
+        assert answer.error_variable == name
+        assert oracle._output.getvalue().count("answers: yes | no") == 1
+
 
 class TestTransformedReference:
     FIXED = """
