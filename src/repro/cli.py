@@ -86,15 +86,33 @@ def _read(path: str) -> str:
     return Path(path).read_text()
 
 
-def _parse_inputs(values: list[str] | None) -> list[object]:
-    inputs: list[object] = []
-    for raw in values or []:
-        lowered = raw.lower()
-        if lowered in ("true", "false"):
-            inputs.append(lowered == "true")
-        else:
-            inputs.append(int(raw))
-    return inputs
+def _program_input(raw: str) -> object:
+    """One ``--input`` value: an integer or a boolean."""
+    lowered = raw.lower()
+    if lowered in ("true", "false"):
+        return lowered == "true"
+    try:
+        return int(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not an integer or boolean: {raw!r}"
+        ) from None
+
+
+def _positive_int(raw: str) -> int:
+    if raw.isdecimal() and int(raw) >= 1:
+        return int(raw)
+    raise argparse.ArgumentTypeError(f"not a positive integer: {raw!r}")
+
+
+def _existing_store(database: str):
+    """The test-report store at ``database``, which must exist: only
+    importing and debugging create one."""
+    from repro.store import ShardedReportStore
+
+    if not (Path(database) / "meta.json").exists():
+        raise StoreError(f"no test-report store at {database}")
+    return ShardedReportStore(database)
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +133,7 @@ def _budget(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     result = run_source(
         _read(args.program),
-        inputs=_parse_inputs(args.input),
+        inputs=args.input or [],
         budget=_budget(args),
         backend=args.backend,
     )
@@ -126,7 +144,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_trace(args: argparse.Namespace) -> int:
     trace = trace_source(
         _read(args.program),
-        inputs=_parse_inputs(args.input),
+        inputs=args.input or [],
         budget=_budget(args),
         degrade=getattr(args, "degrade", False),
         backend=args.backend,
@@ -162,7 +180,7 @@ def cmd_slice(args: argparse.Namespace) -> int:
     if args.unit:
         # Dynamic slice: criterion is an output of a unit activation.
         system = GadtSystem.from_source(
-            source, program_inputs=_parse_inputs(args.input)
+            source, program_inputs=args.input or []
         )
         node = system.trace.tree.find(args.unit, occurrence=args.occurrence)
         view = prune_tree(
@@ -198,7 +216,7 @@ def cmd_debug(args: argparse.Namespace) -> int:
     source = _read(args.program)
     system = GadtSystem.from_source(
         source,
-        program_inputs=_parse_inputs(args.input),
+        program_inputs=args.input or [],
         budget=_budget(args),
         degrade=getattr(args, "degrade", False),
         backend=args.backend,
@@ -210,7 +228,7 @@ def cmd_debug(args: argparse.Namespace) -> int:
     if args.reference:
         oracle = ReferenceOracle.from_source(
             _read(args.reference),
-            program_inputs=_parse_inputs(args.input),
+            program_inputs=args.input or [],
             backend=args.backend,
         )
     else:
@@ -305,13 +323,13 @@ def cmd_stats(args: argparse.Namespace) -> int:
     with observability forced on; print the full metric summary."""
     source = _read(args.program)
     system = GadtSystem.from_source(
-        source, program_inputs=_parse_inputs(args.input), backend=args.backend
+        source, program_inputs=args.input or [], backend=args.backend
     )
     result = None
     if args.reference:
         oracle = ReferenceOracle.from_source(
             _read(args.reference),
-            program_inputs=_parse_inputs(args.input),
+            program_inputs=args.input or [],
             backend=args.backend,
         )
         result = system.debugger(oracle, strategy=args.strategy).debug()
@@ -367,7 +385,7 @@ def cmd_profile(args: argparse.Namespace) -> int:
     profiler = HotspotProfiler()
     system = GadtSystem.from_source(
         _read(args.program),
-        program_inputs=_parse_inputs(args.input),
+        program_inputs=args.input or [],
         backend=args.backend,
         profiler=profiler,
     )
@@ -522,9 +540,7 @@ def cmd_testdb_import(args: argparse.Namespace) -> int:
 
 
 def cmd_testdb_stats(args: argparse.Namespace) -> int:
-    from repro.store import ShardedReportStore
-
-    store = ShardedReportStore(args.database)
+    store = _existing_store(args.database)
     if getattr(args, "json", False):
         import json
 
@@ -548,9 +564,7 @@ def cmd_testdb_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_testdb_compact(args: argparse.Namespace) -> int:
-    from repro.store import ShardedReportStore
-
-    with ShardedReportStore(args.database) as store:
+    with _existing_store(args.database) as store:
         merged = store.compact(budget=_budget(args))
     print(
         f"compacted {merged['segments_before']} segment(s) "
@@ -633,7 +647,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="execute a Mini-Pascal program",
     )
     run_parser.add_argument("program")
-    run_parser.add_argument("--input", action="append", metavar="V")
+    run_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     run_parser.set_defaults(func=cmd_run)
 
     trace_parser = sub.add_parser(
@@ -642,7 +658,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="print the execution tree",
     )
     trace_parser.add_argument("program")
-    trace_parser.add_argument("--input", action="append", metavar="V")
+    trace_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     trace_parser.add_argument(
         "--json", action="store_true", help="emit the tree as JSON"
     )
@@ -671,7 +689,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--unit", help="dynamic: unit activation to slice at"
     )
     slice_parser.add_argument("--occurrence", type=int, default=1)
-    slice_parser.add_argument("--input", action="append", metavar="V")
+    slice_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     slice_parser.set_defaults(func=cmd_slice)
 
     debug_parser = sub.add_parser(
@@ -703,7 +723,9 @@ def build_parser() -> argparse.ArgumentParser:
         "ends the session with no bug localized (exit code 1)",
     )
     debug_parser.add_argument("--quiet", action="store_true")
-    debug_parser.add_argument("--input", action="append", metavar="V")
+    debug_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     debug_parser.set_defaults(func=cmd_debug)
 
     frames_parser = sub.add_parser(
@@ -726,7 +748,7 @@ def build_parser() -> argparse.ArgumentParser:
     mutate_parser.add_argument("--operators-only", action="store_true")
     mutate_parser.add_argument(
         "--workers",
-        type=int,
+        type=_positive_int,
         default=None,
         help="worker processes for --evaluate (default: sequential)",
     )
@@ -749,7 +771,9 @@ def build_parser() -> argparse.ArgumentParser:
     stats_parser.add_argument(
         "--reference", help="bug-free program; also run and account a debug session"
     )
-    stats_parser.add_argument("--input", action="append", metavar="V")
+    stats_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     stats_parser.add_argument(
         "--json",
         action="store_true",
@@ -763,7 +787,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="trace with the hot-spot profiler; print per-unit self time",
     )
     profile_parser.add_argument("program")
-    profile_parser.add_argument("--input", action="append", metavar="V")
+    profile_parser.add_argument(
+        "--input", action="append", type=_program_input, metavar="V"
+    )
     profile_parser.add_argument(
         "--hotspots",
         type=int,
@@ -874,7 +900,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="client mode: print the server's stats op as JSON",
     )
     serve_parser.add_argument(
-        "--workers", type=int, default=2, help="worker slots (default 2)"
+        "--workers", type=_positive_int, default=2, help="worker slots (default 2)"
     )
     serve_parser.add_argument(
         "--max-queue",
@@ -950,10 +976,7 @@ def _journal_meta(args: argparse.Namespace, argv: list[str] | None) -> dict:
         except OSError:
             pass  # the command itself will report the missing file
     if getattr(args, "input", None) is not None:
-        try:
-            meta["inputs"] = _parse_inputs(args.input)
-        except ValueError:
-            pass  # the command itself will report the bad input
+        meta["inputs"] = args.input
     if hasattr(args, "strategy"):
         meta["strategy"] = args.strategy
     if hasattr(args, "no_slicing"):
@@ -979,16 +1002,16 @@ def main(argv: list[str] | None = None) -> int:
     journal_path = getattr(args, "journal_out", None)
     observing = profiling or journal_path or getattr(args, "needs_obs", False)
     journal_sink = None
-    if observing:
-        obs.reset()
-        obs.enable()
-        if journal_path:
-            from repro.obs.journal import JournalWriter
-
-            journal_sink = obs.add_sink(
-                JournalWriter(journal_path, meta=_journal_meta(args, argv))
-            )
     try:
+        if observing:
+            obs.reset()
+            obs.enable()
+            if journal_path:
+                from repro.obs.journal import JournalWriter
+
+                journal_sink = obs.add_sink(
+                    JournalWriter(journal_path, meta=_journal_meta(args, argv))
+                )
         return args.func(args)
     except (PascalError, SpecError) as error:
         print(f"error: {error}", file=sys.stderr)

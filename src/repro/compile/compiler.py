@@ -33,9 +33,11 @@ own table, never the base's. This is the compiled counterpart of
 
 Traced closures carry their event emission *inline*: the statement
 prologue (:func:`repro.compile.emit.enter_stmt`) allocates the
-occurrence and its control edge, stores append writer ids into per-cell
-maps, reads append data edges straight onto the occurrence's adjacency
-list, and call/loop closures drive the session's activation methods.
+occurrence and its control edge, stores record writer ids in the
+cells' ``writers`` maps, reads append data edges straight onto the
+occurrence's adjacency list, and call/loop closures drive the
+activation methods of the recorder both engines share
+(:class:`~repro.tracing.tracer.TreeRecorder`).
 There is no hook indirection anywhere on the hot path.
 
 Conformance: closure bodies replicate the interpreter's handlers
@@ -53,7 +55,7 @@ from time import perf_counter
 from repro import obs
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
-from repro.pascal.interpreter import GotoSignal
+from repro.pascal.interpreter import Cell, GotoSignal
 from repro.pascal.semantics import (
     AnalyzedProgram,
     IO_PROCEDURES,
@@ -62,9 +64,9 @@ from repro.pascal.semantics import (
 from repro.pascal.symbols import ArrayTypeInfo, SymbolKind
 from repro.pascal.values import ArrayValue, UNDEFINED, copy_value, format_value
 from repro.compile import ops
-from repro.compile.emit import LoopPlan, RoutinePlan, enter_stmt
-from repro.compile.runtime import CCell, CFrame, adapt_value, tick
-from repro.tracing.tracer import activation_symbols, loop_symbols
+from repro.compile.emit import enter_stmt
+from repro.compile.runtime import CFrame, adapt_value, tick
+from repro.tracing.tracer import LoopPlan, RoutinePlan, loop_plan, routine_plan
 
 
 class CompiledProgram:
@@ -152,8 +154,8 @@ def _local_cell_factory(symbol):
         low, high = value_type.low, value_type.high
         from repro.pascal.values import ArrayValue
 
-        return lambda: CCell(ArrayValue(low, high), symbol)
-    return lambda: CCell(UNDEFINED, symbol)
+        return lambda: Cell(ArrayValue(low, high), symbol)
+    return lambda: Cell(UNDEFINED, symbol)
 
 
 class Compiler:
@@ -239,7 +241,7 @@ class Compiler:
     # storage access
 
     def cell_accessor(self, ctx: _Ctx, symbol):
-        """Compile symbol access to a ``(rt, frame) -> CCell`` closure:
+        """Compile symbol access to a ``(rt, frame) -> Cell`` closure:
         a globals-slab index, an own-frame slot, or a static-link walk."""
         owner = symbol.owner
         if owner is None:
@@ -308,38 +310,17 @@ class Compiler:
         info = self.analysis.routines[target]
         layout = self.layouts[target]
         callee_ctx = _Ctx(info, owner=target, lex_depth=layout.lex_depth)
-        symbols = activation_symbols(self.analysis, info)
-
-        def entries(pairs):
-            return [
-                (symbol.name, is_global, self._safe_accessor(callee_ctx, symbol))
-                for symbol, is_global in pairs
-            ]
-
-        return RoutinePlan(
-            unit_name=info.name,
-            routine=info.symbol,
-            input_entries=entries(symbols.inputs),
-            output_entries=entries(symbols.outputs),
-            result_slot=(
-                None if symbols.result is None else layout.slot_of[symbols.result]
-            ),
-            exit_accessor=symbols.exit and self._safe_accessor(callee_ctx, symbols.exit),
+        result_slot = layout.result_slot
+        return routine_plan(
+            self.analysis,
+            info,
+            lambda symbol: self._safe_accessor(callee_ctx, symbol),
+            lambda rt, f: f.slots[result_slot],
         )
 
     def _loop_plan(self, ctx: _Ctx, unit) -> LoopPlan:
-        unit = loop_symbols(self.analysis, unit)
-        return LoopPlan(
-            stmt_id=unit.stmt_id,
-            name=unit.name,
-            input_entries=[
-                (symbol.name, self._safe_accessor(ctx, symbol))
-                for symbol in unit.inputs
-            ],
-            output_entries=[
-                (symbol.name, self._safe_accessor(ctx, symbol))
-                for symbol in unit.outputs
-            ],
+        return loop_plan(
+            self.analysis, unit, lambda symbol: self._safe_accessor(ctx, symbol)
         )
 
     # ------------------------------------------------------------------
@@ -374,7 +355,7 @@ class Compiler:
                 for make in local_factories:
                     slots.append(make())
                 if result_slot is not None:
-                    slots.append(CCell(UNDEFINED, result_symbol))
+                    slots.append(Cell(UNDEFINED, result_symbol))
                 frame = CFrame(slots, up_getter(f))
                 rt.depth += 1
                 try:
@@ -407,10 +388,10 @@ class Compiler:
             for make in local_factories:
                 slots.append(make())
             if result_slot is not None:
-                slots.append(CCell(UNDEFINED, result_symbol))
+                slots.append(Cell(UNDEFINED, result_symbol))
             frame = CFrame(slots, up_getter(f))
             rt.depth += 1
-            prev = rt.enter_call(plan, frame, call_site_id)
+            rt.open_call(plan, frame, call_site_id)
             # Attribute incoming parameter values to the call occurrence.
             ost = rt.occ_stack
             if ost:
@@ -433,7 +414,7 @@ class Compiler:
                 via_goto = signal.label
                 raise
             finally:
-                rt.exit_call(plan, frame, prev, via_goto)
+                rt.close_call(plan, frame, via_goto)
                 rt.depth -= 1
             if result_slot is not None:
                 value = slots[result_slot].value
@@ -448,7 +429,7 @@ class Compiler:
         return run_call
 
     def _param_binder(self, ctx: _Ctx, param, arg):
-        """Compile one argument to a ``(rt, f) -> CCell`` closure."""
+        """Compile one argument to a ``(rt, f) -> Cell`` closure."""
         if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT, ast.ParamMode.IN_):
             if isinstance(arg, ast.VarRef):
                 symbol = self.analysis.ref_symbol[arg.node_id]
@@ -480,14 +461,14 @@ class Compiler:
         if isinstance(param_type, ArrayTypeInfo):
 
             def bind_array_value(rt, f):
-                return CCell(
+                return Cell(
                     adapt_value(copy_value(evaluate(rt, f)), param_type), param
                 )
 
             return bind_array_value
 
         def bind_value(rt, f):
-            return CCell(evaluate(rt, f), param)
+            return Cell(evaluate(rt, f), param)
 
         return bind_value
 
@@ -960,9 +941,7 @@ class Compiler:
 
         def while_unit(rt, f):
             enter(rt, stmt_id, line, location)
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            rt.open_loop(plan, f)
             iterations = 0
             try:
                 while True:
@@ -970,12 +949,10 @@ class Compiler:
                     if not condition(rt, f):
                         break
                     iterations += 1
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    rt.open_iteration(plan, f, iterations)
                     body(rt, f)
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                rt.close_loop(plan, f)
             rt.occ_stack.pop()
 
         return while_unit
@@ -1016,22 +993,18 @@ class Compiler:
 
         def repeat_unit(rt, f):
             enter(rt, stmt_id, line, location)
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            rt.open_loop(plan, f)
             iterations = 0
             try:
                 while True:
                     _tick(rt, location)
                     iterations += 1
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    rt.open_iteration(plan, f, iterations)
                     body(rt, f)
                     if condition(rt, f):
                         break
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                rt.close_loop(plan, f)
             rt.occ_stack.pop()
 
         return repeat_unit
@@ -1115,9 +1088,7 @@ class Compiler:
             if type(stop) is not int:
                 stop = _expect_int(stop, stop_loc)
             ost = rt.occ_stack
-            prev = rt.cur_node
-            loop_node = rt.loop_enter(plan, f)
-            iter_node = None
+            rt.open_loop(plan, f)
             iterations = 0
             try:
                 current = start
@@ -1131,13 +1102,11 @@ class Compiler:
                     else:
                         writers.clear()
                         writers[None] = ost[-1]
-                    iter_node = rt.loop_iteration(
-                        plan, f, loop_node, iter_node, iterations
-                    )
+                    rt.open_iteration(plan, f, iterations)
                     body(rt, f)
                     current += step
             finally:
-                rt.loop_exit(plan, f, loop_node, iter_node, prev)
+                rt.close_loop(plan, f)
             ost.pop()
 
         return for_unit

@@ -3,11 +3,10 @@
 Two cost models, one report:
 
 * **self-time** needs runtime timestamps, so :class:`HotspotProfiler`
-  hangs off the *activation* boundaries of both backends — the tracer's
-  ``enter_routine``/``exit_routine``/loop hooks on the interpreter, and
-  ``enter_call``/``exit_call``/loop methods of the compiled
-  :class:`~repro.compile.emit.TraceSession` (a single ``prof is not
-  None`` test per activation; the per-statement hot path is untouched);
+  hangs off the *activation* boundaries both backends record through
+  :class:`~repro.tracing.tracer.TreeRecorder` — its call, main and
+  loop open/close methods (a single ``prof is not None`` test per
+  activation; the per-statement hot path is untouched);
 * **steps** are free after the fact: every executed statement already
   left an :class:`~repro.tracing.dynamic_deps.Occurrence` carrying its
   line, and every tree node carries its ``occurrence_ids`` — so

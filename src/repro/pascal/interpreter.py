@@ -67,13 +67,19 @@ class GotoSignal(Exception):
 
 class Cell:
     """One unit of storage. Arrays occupy a single cell holding an
-    :class:`~repro.pascal.values.ArrayValue` mutated in place."""
+    :class:`~repro.pascal.values.ArrayValue` mutated in place.
 
-    __slots__ = ("value", "symbol")
+    ``writers`` is the cell's dependence bookkeeping, ``None`` until a
+    traced run records a write: it maps element index (``None`` = whole
+    cell) to the occurrence id that last wrote that location, and a
+    whole write clears it. Both trace engines keep it the same way."""
+
+    __slots__ = ("value", "symbol", "writers")
 
     def __init__(self, value: object = UNDEFINED, symbol: Symbol | None = None):
         self.value = value
         self.symbol = symbol
+        self.writers: dict[int | None, int] | None = None
 
     def __repr__(self) -> str:
         name = self.symbol.name if self.symbol is not None else "?"

@@ -1,9 +1,17 @@
 """The tracer: builds execution trees and dynamic dependences (paper §5.2).
 
-Implemented as :class:`~repro.pascal.interpreter.ExecutionHooks`. One
-``Tracer`` instance observes one program run and yields a
-:class:`TraceResult` bundling the execution tree, the dynamic dependence
-graph, and the analyses the debugging phase needs.
+:class:`TreeRecorder` records one traced run's execution tree for both
+engines: unit activations with their In/Out bindings, taken through
+binding plans (:class:`RoutinePlan`, :class:`LoopPlan`) resolved once
+per routine and loop, and each output's writer set. :class:`Tracer` is
+the interpreter engine's recorder, an
+:class:`~repro.pascal.interpreter.ExecutionHooks` whose hooks add the
+statement occurrences and data edges and keep each cell's last writers
+(``Cell.writers``); the compiled engine's
+:class:`~repro.compile.emit.TraceSession` does the same inline.
+:func:`trace_program` runs either and yields a :class:`TraceResult`
+bundling the execution tree, the dynamic dependence graph, and the
+analyses the debugging phase needs.
 
 Loop units: a transformed analysis's :class:`ActivationView` carries
 the registry of the transformation phase's loop-unit pass, and each
@@ -14,10 +22,11 @@ debuggable units (§5.1, §6.1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from repro.pascal import ast_nodes as ast
+from repro.pascal.errors import PascalRuntimeError
 from repro.pascal.interpreter import (
     Cell,
     ExecutionHooks,
@@ -28,7 +37,7 @@ from repro.pascal.interpreter import (
 )
 from repro.pascal.semantics import AnalyzedProgram, RoutineInfo
 from repro.pascal.symbols import Symbol
-from repro.pascal.values import UNDEFINED, copy_value
+from repro.pascal.values import copy_value
 from repro.tracing.dynamic_deps import DynamicDependenceGraph
 from repro.tracing.execution_tree import (
     Binding,
@@ -88,9 +97,8 @@ class ActivationSymbols(NamedTuple):
 def activation_symbols(analysis: AnalyzedProgram, info: RoutineInfo) -> ActivationSymbols:
     """The binding policy: which values an activation of ``info``
     carries into the execution tree as its inputs and outputs (paper
-    §5.2). Both engines map these symbols to storage their own way, the
-    interpreter's :class:`Tracer` per activation and the compiler once
-    per routine, so they record the same bindings.
+    §5.2). :func:`routine_plan` maps these symbols to each engine's
+    storage once per routine, so both engines record the same bindings.
 
     Inputs are value and ``in`` parameters, then the by-reference
     parameters the routine reads and the globals it reads (sorted by
@@ -191,58 +199,140 @@ class TraceResult:
         return self.error is not None
 
 
-class Tracer(ExecutionHooks):
+class RoutinePlan:
+    """One routine's execution-tree bindings, resolved once per routine.
+
+    An *accessor* is a ``(recorder, frame) -> Cell`` function that
+    reaches one symbol's storage from an activation's frame, or
+    :data:`NO_STORAGE` where the symbol has none."""
+
+    __slots__ = (
+        "unit_name",
+        "routine",
+        "input_entries",
+        "output_entries",
+        "result",
+        "exit_param",
+    )
+
     def __init__(
-        self,
-        analysis: AnalyzedProgram,
-        max_tree_nodes: int | None = None,
-        profiler=None,
+        self, unit_name, routine, input_entries, output_entries, result, exit_param
     ):
-        self.analysis = analysis
-        view = analysis.view
-        self.loop_units = {
-            stmt_id: loop_symbols(analysis, unit)
-            for stmt_id, unit in (view.loops if view is not None else {}).items()
-        }
-        self.interpreter: Interpreter | None = None
+        self.unit_name = unit_name
+        self.routine = routine
+        #: ``(name, is_global, accessor)`` in binding order
+        self.input_entries = input_entries
+        self.output_entries = output_entries
+        #: the function result's accessor, None for a procedure
+        self.result = result
+        #: the exit parameter's accessor, None for a routine without one
+        self.exit_param = exit_param
+
+
+class LoopPlan:
+    """One loop unit's bindings, entries as in :class:`RoutinePlan`."""
+
+    __slots__ = ("stmt_id", "name", "input_entries", "output_entries")
+
+    def __init__(self, stmt_id, name, input_entries, output_entries):
+        self.stmt_id = stmt_id
+        self.name = name
+        self.input_entries = input_entries
+        self.output_entries = output_entries
+
+
+#: the cell an accessor returns for a symbol without storage: its
+#: bindings read UNDEFINED, and it has no writer set
+NO_STORAGE = Cell()
+
+
+def _no_storage(recorder, frame) -> Cell:
+    return NO_STORAGE
+
+
+def routine_plan(
+    analysis: AnalyzedProgram, info: RoutineInfo, accessor, result
+) -> RoutinePlan:
+    """The plan of :func:`activation_symbols`, with ``accessor(symbol)``
+    resolving each symbol (None: no storage) and ``result`` the function
+    result's accessor."""
+    symbols = activation_symbols(analysis, info)
+
+    def entries(pairs):
+        return [
+            (symbol.name, is_global, accessor(symbol) or _no_storage)
+            for symbol, is_global in pairs
+        ]
+
+    return RoutinePlan(
+        info.name,
+        info.symbol,
+        entries(symbols.inputs),
+        entries(symbols.outputs),
+        None if symbols.result is None else result,
+        symbols.exit and accessor(symbols.exit),
+    )
+
+
+def loop_plan(analysis: AnalyzedProgram, unit: LoopUnitInfo, accessor) -> LoopPlan:
+    """The plan of :func:`loop_symbols`, resolved as in :func:`routine_plan`."""
+    unit = loop_symbols(analysis, unit)
+
+    def entries(symbols):
+        return [
+            (symbol.name, False, accessor(symbol) or _no_storage) for symbol in symbols
+        ]
+
+    return LoopPlan(
+        unit.stmt_id, unit.name, entries(unit.inputs), entries(unit.outputs)
+    )
+
+
+class TreeRecorder:
+    """Records one traced run's execution tree (paper §5.2), for both
+    engines: the :class:`Tracer` calls it from the interpreter's hooks,
+    and the compiled engine's :class:`~repro.compile.emit.TraceSession`
+    from its closures.
+
+    It creates the activation nodes under the node cap, snapshots their
+    bindings through the plans, records each output's writer set (the
+    occurrences that last wrote it, the slice criteria), decodes exits
+    and packages the :class:`TraceResult`. The engines keep their own
+    statement occurrences, data edges and writer updates, which land in
+    ``ddg``, ``occ_stack`` and the cells' ``writers``.
+
+    A mixin without slots of its own: :meth:`_start_recording` sets the
+    state on the engine's object, so a slotted session keeps its slots.
+    The engine provides ``analysis``, the program it runs.
+    """
+
+    __slots__ = ()
+
+    def _start_recording(self, max_tree_nodes: int | None, profiler) -> None:
+        self.ddg = DynamicDependenceGraph()
+        self.occ_count = 0
+        self.occ_stack: list[int] = []
+        self.cur_node: ExecNode | None = None
+        self.print_occs: set[int] = set()
         #: memory guard: abort the trace when the tree outgrows this
         self.max_tree_nodes = max_tree_nodes
-        self._node_count = 0
+        self.node_count = 0
+        self.last_active_node_id = 0
         #: optional hot-spot profiler observing activation boundaries
         #: (:class:`repro.obs.profiler.HotspotProfiler`)
-        self.profiler = profiler
-
-        self.ddg = DynamicDependenceGraph()
-        self._occ_counter = 0
-        self._occ_stack: list[int] = []
-        #: (cell id, element index or None) -> last writing occurrence id
-        self._last_writer: dict[tuple[int, int | None], int] = {}
-        #: pin cells so id() keys stay unique for the lifetime of the trace
-        self._pinned_cells: dict[int, Cell] = {}
-
-        self._activations: dict[Symbol, ActivationSymbols] = {}
-        self._print_occs: set[int] = set()
-        self.last_active_node_id: int = 0
+        self.prof = profiler
         self._root: ExecNode | None = None
-        self._node_stack: list[ExecNode] = []
         self._tree_index: dict[int, ExecNode] = {}
         self._output_writers: dict[tuple[int, str], set[int]] = {}
-        #: open loop/iteration bookkeeping: loop stmt id -> (loop node, iter node)
-        self._open_loops: list[tuple[ExecNode, ExecNode | None]] = []
-
-    # ------------------------------------------------------------------
-    # wiring
-
-    def attach(self, interpreter: Interpreter) -> None:
-        self.interpreter = interpreter
 
     def result(self, execution: ExecutionResult) -> TraceResult:
         assert self._root is not None, "no traced run"
         tree = ExecutionTree(root=self._root)
+        tree_index = self._tree_index
         tree.occurrence_owner = {
-            occ_id: self._tree_index[occ.exec_node_id]
+            occ_id: tree_index[occ.exec_node_id]
             for occ_id, occ in self.ddg.occurrences.items()
-            if occ.exec_node_id in self._tree_index
+            if occ.exec_node_id in tree_index
         }
         tree.output_writers = dict(self._output_writers)
         return TraceResult(
@@ -252,12 +342,20 @@ class Tracer(ExecutionHooks):
             execution=execution,
         )
 
+    def crash_unit(self) -> str | None:
+        """The unit that ran the last statement (where a crash struck)."""
+        node = self._tree_index.get(self.last_active_node_id)
+        return node.unit_name if node is not None else None
+
+    # ------------------------------------------------------------------
+    # nodes
+
     def _count_node(self) -> None:
         """Memory guard: a tree node pins bindings and dependence
         bookkeeping, so runaway traces are aborted (and salvaged by
         :func:`trace_program` when degradation is enabled)."""
-        self._node_count += 1
-        if self.max_tree_nodes is not None and self._node_count > self.max_tree_nodes:
+        self.node_count += 1
+        if self.max_tree_nodes is not None and self.node_count > self.max_tree_nodes:
             from repro.resilience.errors import TraceAborted
 
             raise TraceAborted(
@@ -265,290 +363,289 @@ class Tracer(ExecutionHooks):
                 reason="tree-nodes",
             )
 
+    def _open(self, node: ExecNode, parent: ExecNode, entries, frame) -> None:
+        node.inputs = self._snapshot(entries, frame, BindingMode.IN)
+        parent.add_child(node)
+        self._tree_index[node.node_id] = node
+        self.cur_node = node
+
+    def _snapshot(self, entries, frame, mode: BindingMode) -> list[Binding]:
+        bindings = []
+        for name, is_global, acc in entries:
+            bindings.append(
+                Binding(name, mode, copy_value(acc(self, frame).value), is_global)
+            )
+        return bindings
+
+    def _outputs(self, node: ExecNode, entries, frame) -> list[Binding]:
+        """Snapshot ``entries`` as ``node``'s outputs and record each
+        one's writer set (the slice criteria)."""
+        output_writers = self._output_writers
+        node_id = node.node_id
+        outputs = []
+        for name, is_global, acc in entries:
+            cell = acc(self, frame)
+            outputs.append(
+                Binding(name, BindingMode.OUT, copy_value(cell.value), is_global)
+            )
+            if cell is not NO_STORAGE:
+                writers = cell.writers
+                output_writers[(node_id, name)] = (
+                    set(writers.values()) if writers else set()
+                )
+        return outputs
+
     # ------------------------------------------------------------------
-    # occurrences
+    # routine activations
 
-    def _current_node_id(self) -> int:
-        return self._node_stack[-1].node_id if self._node_stack else 0
+    def open_main(self, info: RoutineInfo) -> None:
+        self._count_node()
+        node = ExecNode(kind=NodeKind.MAIN, unit_name=info.name, routine=info.symbol)
+        self._root = node
+        self._tree_index[node.node_id] = node
+        self.cur_node = node
+        if self.prof is not None:
+            self.prof.enter_unit(info.name)
 
-    def _push_occurrence(self, stmt: ast.Stmt | None) -> int:
-        self._occ_counter += 1
-        occ = self.ddg.new_occurrence(stmt, self._current_node_id(), self._occ_counter)
-        if self._occ_stack:
-            # Control/nesting dependence on the enclosing occurrence.
-            self.ddg.add_dep(occ.occ_id, self._occ_stack[-1])
-        if self._node_stack:
-            self._node_stack[-1].occurrence_ids.append(occ.occ_id)
-        self._occ_stack.append(occ.occ_id)
-        return occ.occ_id
+    def close_main(self, text: str) -> None:
+        """The program's observable result is what it printed: that is
+        the "externally visible symptom" the whole session starts from,
+        so the root node carries it as an output."""
+        if self.prof is not None:
+            self.prof.exit_unit()
+        node = self.cur_node
+        if text:
+            node.outputs = [Binding("output", BindingMode.OUT, text)]
+            self._output_writers[(node.node_id, "output")] = set(self.print_occs)
+        self.cur_node = None
+
+    def open_call(self, plan: RoutinePlan, frame, call_site_id: int) -> None:
+        self._count_node()
+        node = ExecNode(
+            kind=NodeKind.CALL,
+            unit_name=plan.unit_name,
+            routine=plan.routine,
+            call_site_id=call_site_id,
+        )
+        self._open(node, self.cur_node, plan.input_entries, frame)
+        if self.prof is not None:
+            self.prof.enter_unit(plan.unit_name)
+
+    def close_call(self, plan: RoutinePlan, frame, via_goto: Symbol | None) -> None:
+        """Close the current CALL activation: snapshot outputs and exit,
+        record their writer sets, return to the caller's node, and
+        attribute the function-result read to the caller's occurrence."""
+        if self.prof is not None:
+            self.prof.exit_unit()
+        node = self.cur_node
+        node.via_goto = via_goto.name if via_goto is not None else None
+        outputs = self._outputs(node, plan.output_entries, frame)
+        result = None if plan.result is None else plan.result(self, frame)
+        if result is not None:
+            value = copy_value(result.value)
+            outputs.append(Binding(plan.unit_name, BindingMode.RESULT, value))
+            writers = result.writers
+            self._output_writers[(node.node_id, plan.unit_name)] = (
+                set(writers.values()) if writers else set()
+            )
+        node.outputs = outputs
+        if plan.exit_param is not None:
+            code = plan.exit_param(self, frame).value
+            node.via_goto = decode_exit(code) or node.via_goto
+        self.cur_node = node.parent
+        if result is not None and result.writers and self.occ_stack:
+            # Reading the function result happens at the caller's occurrence.
+            writer = result.writers.get(None)
+            if writer is not None:
+                self.ddg.add_dep(self.occ_stack[-1], writer)
+
+    # ------------------------------------------------------------------
+    # loop units
+
+    def open_loop(self, plan: LoopPlan, frame) -> None:
+        self._count_node()
+        node = ExecNode(
+            kind=NodeKind.LOOP, unit_name=plan.name, loop_stmt_id=plan.stmt_id
+        )
+        self._open(node, self.cur_node, plan.input_entries, frame)
+        if self.prof is not None:
+            self.prof.enter_unit(plan.name)
+
+    def open_iteration(self, plan: LoopPlan, frame, iteration: int) -> None:
+        self._count_node()
+        node = ExecNode(
+            kind=NodeKind.ITERATION,
+            unit_name=plan.name,
+            loop_stmt_id=plan.stmt_id,
+            iteration=iteration,
+        )
+        self._open(node, self._close_iteration(plan, frame), plan.input_entries, frame)
+
+    def close_loop(self, plan: LoopPlan, frame) -> None:
+        if self.prof is not None:
+            self.prof.exit_unit()
+        node = self._close_iteration(plan, frame)
+        node.outputs = self._outputs(node, plan.output_entries, frame)
+        self.cur_node = node.parent
+
+    def _close_iteration(self, plan: LoopPlan, frame) -> ExecNode:
+        """Close the loop's open iteration, if any; returns the loop node."""
+        node = self.cur_node
+        if node.kind is NodeKind.ITERATION:
+            node.outputs = self._snapshot(plan.output_entries, frame, BindingMode.OUT)
+            node = node.parent
+            self.cur_node = node
+        return node
+
+
+def _interpreter_accessor(symbol: Symbol):
+    """An accessor reaching ``symbol`` through the interpreter's frame
+    chain, as the running program would."""
+
+    def access(tracer: "Tracer", frame: Frame) -> Cell:
+        try:
+            return tracer.interpreter._lookup_cell(symbol, frame)
+        except PascalRuntimeError:
+            return NO_STORAGE
+
+    return access
+
+
+def _result_cell(tracer: "Tracer", frame: Frame) -> Cell:
+    return frame.result_cell
+
+
+class Tracer(ExecutionHooks, TreeRecorder):
+    """The interpreter engine's recorder: the interpreter's hooks add
+    statement occurrences and data edges, keep each cell's last writers
+    by the compiled closures' rule, and drive the :class:`TreeRecorder`
+    through plans whose accessors look symbols up in the frame chain."""
+
+    def __init__(
+        self,
+        analysis: AnalyzedProgram,
+        max_tree_nodes: int | None = None,
+        profiler=None,
+    ):
+        self.analysis = analysis
+        self.interpreter: Interpreter | None = None
+        self._start_recording(max_tree_nodes, profiler)
+        view = analysis.view
+        self.loop_plans = {
+            stmt_id: loop_plan(analysis, unit, _interpreter_accessor)
+            for stmt_id, unit in (view.loops if view is not None else {}).items()
+        }
+        self._plans: dict[Symbol, RoutinePlan] = {}
+
+    def attach(self, interpreter: Interpreter) -> None:
+        self.interpreter = interpreter
+
+    def _plan(self, info: RoutineInfo) -> RoutinePlan:
+        plan = self._plans.get(info.symbol)
+        if plan is None:
+            plan = routine_plan(
+                self.analysis, info, _interpreter_accessor, _result_cell
+            )
+            self._plans[info.symbol] = plan
+        return plan
+
+    # ------------------------------------------------------------------
+    # occurrences and data edges
 
     def before_stmt(self, stmt: ast.Stmt, frame: Frame) -> None:
-        self.last_active_node_id = self._current_node_id()
-        self._push_occurrence(stmt)
+        node = self.cur_node
+        self.last_active_node_id = node.node_id
+        self.occ_count += 1
+        occ_id = self.ddg.new_occurrence(stmt, node.node_id, self.occ_count).occ_id
+        ost = self.occ_stack
+        if ost:
+            # Control/nesting dependence on the enclosing occurrence.
+            self.ddg.add_dep(occ_id, ost[-1])
+        node.occurrence_ids.append(occ_id)
+        ost.append(occ_id)
 
     def after_stmt(self, stmt: ast.Stmt, frame: Frame) -> None:
-        self._occ_stack.pop()
+        self.occ_stack.pop()
 
     def cell_read(self, cell: Cell, index: int | None) -> None:
-        if not self._occ_stack:
+        writers = cell.writers
+        if writers is None or not self.occ_stack:
             return
-        current = self._occ_stack[-1]
-        writer = self._last_writer.get((id(cell), index))
+        current = self.occ_stack[-1]
+        writer = writers.get(index)
         if writer is not None:
             self.ddg.add_dep(current, writer)
         if index is not None:
             # An element read also depends on whole-array writes.
-            whole = self._last_writer.get((id(cell), None))
+            whole = writers.get(None)
             if whole is not None:
                 self.ddg.add_dep(current, whole)
 
     def io_write(self, text: str) -> None:
         # The program's printed output "depends on" every occurrence
         # that wrote a chunk of it — making the output sliceable.
-        if self._occ_stack:
-            self._print_occs.add(self._occ_stack[-1])
+        if self.occ_stack:
+            self.print_occs.add(self.occ_stack[-1])
 
     def cell_write(self, cell: Cell, index: int | None, value: object) -> None:
-        if not self._occ_stack:
+        if not self.occ_stack:
             return
-        self._pinned_cells[id(cell)] = cell
-        self._last_writer[(id(cell), index)] = self._occ_stack[-1]
+        writers = cell.writers
+        if writers is None:
+            cell.writers = {index: self.occ_stack[-1]}
+            return
         if index is None:
             # A whole write supersedes element writes.
-            stale = [
-                key
-                for key in self._last_writer
-                if key[0] == id(cell) and key[1] is not None
-            ]
-            for key in stale:
-                del self._last_writer[key]
+            writers.clear()
+        writers[index] = self.occ_stack[-1]
 
     # ------------------------------------------------------------------
-    # routine units
+    # routine and loop units
 
     def enter_routine(
         self, call: ast.Node | None, info: RoutineInfo, frame: Frame
     ) -> None:
-        self._count_node()
         if info.is_main:
-            node = ExecNode(
-                kind=NodeKind.MAIN, unit_name=info.name, routine=info.symbol
-            )
-            self._root = node
-        else:
-            node = ExecNode(
-                kind=NodeKind.CALL,
-                unit_name=info.name,
-                routine=info.symbol,
-                call_site_id=call.node_id if call is not None else None,
-            )
-            if self._node_stack:
-                self._node_stack[-1].add_child(node)
-            else:  # isolated unit call (testing/oracle use)
-                self._root = node
-        self._tree_index[node.node_id] = node
-        node.inputs = self._input_bindings(info, frame)
-        self._node_stack.append(node)
-        if self.profiler is not None:
-            self.profiler.enter_unit(info.name)
-
+            self.open_main(info)
+            return
+        self.open_call(self._plan(info), frame, call.node_id)
         # Attribute incoming parameter values to the call-site occurrence.
-        if self._occ_stack:
-            call_occ = self._occ_stack[-1]
+        if self.occ_stack:
+            call_occ = self.occ_stack[-1]
             for param in info.params:
                 cell = frame.cells.get(param)
                 if cell is None:
                     continue
-                self._pinned_cells[id(cell)] = cell
-                key = (id(cell), None)
-                if param.param_mode == ast.ParamMode.VALUE:
-                    self._last_writer[key] = call_occ
-                elif key not in self._last_writer:
-                    # First sight of a by-reference cell (e.g. seeded input).
-                    self._last_writer[key] = call_occ
+                writers = cell.writers
+                if param.param_mode == ast.ParamMode.VALUE or writers is None:
+                    # A fresh value cell, or the first sight of a
+                    # by-reference cell (e.g. seeded input).
+                    cell.writers = {None: call_occ}
+                elif None not in writers:
+                    writers[None] = call_occ
 
     def exit_routine(
         self, info: RoutineInfo, frame: Frame, via_goto: Symbol | None
     ) -> None:
-        if self.profiler is not None:
-            self.profiler.exit_unit()
-        node = self._node_stack.pop()
-        node.via_goto = via_goto.name if via_goto is not None else None
-        self._close_outputs(node, info, frame)
-        # Reading the function result happens at the caller's occurrence.
-        if frame.result_cell is not None and self._occ_stack:
-            writer = self._last_writer.get((id(frame.result_cell), None))
-            if writer is not None:
-                self.ddg.add_dep(self._occ_stack[-1], writer)
-
-    # ------------------------------------------------------------------
-    # loop units
+        if info.is_main:
+            self.close_main(self.interpreter.io.text)
+        else:
+            self.close_call(self._plan(info), frame, via_goto)
 
     def loop_enter(self, stmt: ast.Stmt, frame: Frame) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        self._count_node()
-        node = ExecNode(
-            kind=NodeKind.LOOP,
-            unit_name=unit.name,
-            loop_stmt_id=stmt.node_id,
-        )
-        node.inputs = self._loop_bindings(unit.inputs, frame, BindingMode.IN)
-        if self._node_stack:
-            self._node_stack[-1].add_child(node)
-        self._tree_index[node.node_id] = node
-        self._node_stack.append(node)
-        self._open_loops.append((node, None))
-        if self.profiler is not None:
-            self.profiler.enter_unit(unit.name)
+        plan = self.loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.open_loop(plan, frame)
 
     def loop_iteration(self, stmt: ast.Stmt, frame: Frame, iteration: int) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        self._count_node()
-        loop_node, iter_node = self._open_loops[-1]
-        if iter_node is not None:
-            self._close_iteration(unit, iter_node, frame)
-        new_iter = ExecNode(
-            kind=NodeKind.ITERATION,
-            unit_name=unit.name,
-            loop_stmt_id=stmt.node_id,
-            iteration=iteration,
-        )
-        new_iter.inputs = self._loop_bindings(unit.inputs, frame, BindingMode.IN)
-        loop_node.add_child(new_iter)
-        self._tree_index[new_iter.node_id] = new_iter
-        self._node_stack.append(new_iter)
-        self._open_loops[-1] = (loop_node, new_iter)
+        plan = self.loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.open_iteration(plan, frame, iteration)
 
     def loop_exit(self, stmt: ast.Stmt, frame: Frame, iterations: int) -> None:
-        unit = self.loop_units.get(stmt.node_id)
-        if unit is None:
-            return
-        if self.profiler is not None:
-            self.profiler.exit_unit()
-        loop_node, iter_node = self._open_loops.pop()
-        if iter_node is not None:
-            self._close_iteration(unit, iter_node, frame)
-        loop_node.outputs = self._loop_bindings(unit.outputs, frame, BindingMode.OUT)
-        self._record_loop_output_writers(loop_node, unit, frame)
-        popped = self._node_stack.pop()
-        assert popped is loop_node
-
-    def _close_iteration(
-        self, unit: LoopUnitInfo, iter_node: ExecNode, frame: Frame
-    ) -> None:
-        iter_node.outputs = self._loop_bindings(unit.outputs, frame, BindingMode.OUT)
-        popped = self._node_stack.pop()
-        assert popped is iter_node
-
-    # ------------------------------------------------------------------
-    # snapshots
-
-    def _symbol_value(self, symbol: Symbol, frame: Frame) -> object:
-        assert self.interpreter is not None
-        try:
-            cell = self.interpreter._lookup_cell(symbol, frame)
-        except Exception:
-            return UNDEFINED
-        return copy_value(cell.value)
-
-    def _symbol_cell(self, symbol: Symbol, frame: Frame) -> Cell | None:
-        assert self.interpreter is not None
-        try:
-            return self.interpreter._lookup_cell(symbol, frame)
-        except Exception:
-            return None
-
-    def _activation(self, info: RoutineInfo) -> ActivationSymbols:
-        symbols = self._activations.get(info.symbol)
-        if symbols is None:
-            symbols = activation_symbols(self.analysis, info)
-            self._activations[info.symbol] = symbols
-        return symbols
-
-    def _input_bindings(self, info: RoutineInfo, frame: Frame) -> list[Binding]:
-        if info.is_main:
-            return []
-        return [
-            Binding(
-                symbol.name, BindingMode.IN, self._symbol_value(symbol, frame), is_global
-            )
-            for symbol, is_global in self._activation(info).inputs
-        ]
-
-    def _close_outputs(self, node: ExecNode, info: RoutineInfo, frame: Frame) -> None:
-        """Snapshot the activation's outputs and exit, and record, per
-        output, the occurrences that last wrote it (the slice criteria)."""
-        if info.is_main:
-            # The program's observable result is what it printed: that is
-            # the "externally visible symptom" the whole session starts
-            # from, so the root node carries it as an output.
-            assert self.interpreter is not None
-            text = self.interpreter.io.text
-            if text:
-                node.outputs = [Binding("output", BindingMode.OUT, text)]
-                self._output_writers[(node.node_id, "output")] = set(self._print_occs)
-            return
-        symbols = self._activation(info)
-        outputs = [
-            self._output(
-                node, symbol.name, BindingMode.OUT, self._symbol_cell(symbol, frame),
-                is_global,
-            )
-            for symbol, is_global in symbols.outputs
-        ]
-        if symbols.result is not None:
-            outputs.append(
-                self._output(node, info.name, BindingMode.RESULT, frame.result_cell)
-            )
-        node.outputs = outputs
-        if symbols.exit is not None:
-            code = self._symbol_value(symbols.exit, frame)
-            node.via_goto = decode_exit(code) or node.via_goto
-
-    def _output(
-        self,
-        node: ExecNode,
-        name: str,
-        mode: BindingMode,
-        cell: Cell | None,
-        is_global: bool = False,
-    ) -> Binding:
-        if cell is None:
-            return Binding(name, mode, UNDEFINED, is_global)
-        self._output_writers[(node.node_id, name)] = self._writers_of_cell(cell)
-        return Binding(name, mode, copy_value(cell.value), is_global)
-
-    def _loop_bindings(
-        self, symbols: tuple[Symbol, ...], frame: Frame, mode: BindingMode
-    ) -> list[Binding]:
-        return [
-            Binding(symbol.name, mode, self._symbol_value(symbol, frame))
-            for symbol in symbols
-        ]
-
-    # ------------------------------------------------------------------
-    # slice criteria support
-
-    def _writers_of_cell(self, cell: Cell) -> set[int]:
-        writers: set[int] = set()
-        for (cell_id, _index), occ in self._last_writer.items():
-            if cell_id == id(cell):
-                writers.add(occ)
-        return writers
-
-    def _record_loop_output_writers(
-        self, node: ExecNode, unit: LoopUnitInfo, frame: Frame
-    ) -> None:
-        for symbol in unit.outputs:
-            cell = self._symbol_cell(symbol, frame)
-            if cell is not None:
-                self._output_writers[(node.node_id, symbol.name)] = (
-                    self._writers_of_cell(cell)
-                )
+        plan = self.loop_plans.get(stmt.node_id)
+        if plan is not None:
+            self.close_loop(plan, frame)
 
 
 def trace_program(
@@ -593,11 +690,7 @@ def trace_program(
     self-time hot-spot attribution; ``None`` costs nothing.
     """
     from repro import obs
-    from repro.pascal.errors import (
-        PascalError,
-        PascalRuntimeError,
-        StepLimitExceeded,
-    )
+    from repro.pascal.errors import PascalError, StepLimitExceeded
     from repro.resilience import faults
     from repro.resilience.budget import DEFAULT_SALVAGE_DEPTH
     from repro.compile import compiled_trace_session, resolve_backend
@@ -650,8 +743,7 @@ def trace_program(
     result.backend = backend
     result.error = error
     if error is not None:
-        crash_node = collector._tree_index.get(collector.last_active_node_id)
-        result.crash_unit = crash_node.unit_name if crash_node is not None else None
+        result.crash_unit = collector.crash_unit()
     if degraded_reason is not None:
         from repro.resilience.degrade import cap_depth
 

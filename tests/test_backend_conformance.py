@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.compile import BACKENDS, default_backend, resolve_backend
+from repro.core import GadtSystem
 from repro.pascal import run_source
 from repro.pascal.errors import PascalError
 from repro.resilience import Budget, faults
@@ -35,6 +36,8 @@ from tests.program_gen import (
     straightline_programs,
     structured_programs,
 )
+from tests.test_mutant_patch import HOSTS, STEP_LIMIT
+from tests.test_transform_digests import TIER1_SEEDS, seed_programs
 
 #: hypothesis budget: derandomized (CI-stable) and small enough to keep
 #: the differential suite inside the tier-1 time budget
@@ -147,6 +150,31 @@ def test_plain_run_conforms(source, data):
     result_c = run_source(source, backend="compiled")
     assert result_i.output == result_c.output
     assert result_i.steps == result_c.steps
+
+
+def assert_transformed_programs_conform(named: dict[str, str]) -> int:
+    """Trace each named program as the debugger does (transformed, so
+    with loop units and exit parameters) on both engines, and compare
+    the full traces; returns the number of programs checked. Tier-1
+    checks the fixed hosts and seeds 0-39; CI checks seeds 0-199."""
+    for name, source in named.items():
+        trace_i, trace_c = (
+            GadtSystem.from_source(
+                source, step_limit=STEP_LIMIT, tolerate_errors=True, backend=backend
+            ).trace
+            for backend in BACKENDS
+        )
+        try:
+            assert str(trace_i.error) == str(trace_c.error)
+            assert trace_i.crash_unit == trace_c.crash_unit
+            assert_traces_equal(trace_i, trace_c)
+        except AssertionError as error:
+            raise AssertionError(f"{name}: {error}") from error
+    return len(named)
+
+
+def test_transformed_programs_conform():
+    assert_transformed_programs_conform({**HOSTS, **seed_programs(TIER1_SEEDS)})
 
 
 # ----------------------------------------------------------------------

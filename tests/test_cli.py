@@ -284,6 +284,29 @@ class TestExitCodes:
     def test_missing_input_is_code_2(self, capsys):
         assert main(["run", "/nonexistent.pas"]) == 2
 
+    @pytest.mark.parametrize(
+        "command", ["run", "trace", "debug", "slice", "stats", "profile"]
+    )
+    @pytest.mark.parametrize("value", ["abc", "1.5"])
+    def test_bad_input_value_is_usage_error(self, fig4, command, value, capsys):
+        assert main([command, fig4, "--input", value]) == 2
+        err = capsys.readouterr().err
+        assert f"argument --input: not an integer or boolean: '{value}'" in err
+
+    def test_zero_workers_is_usage_error(self, fig4, capsys):
+        for argv in (["mutate", fig4, "--evaluate"], ["serve", "--stdio"]):
+            assert main([*argv, "--workers", "0"]) == 2
+            err = capsys.readouterr().err
+            assert "argument --workers: not a positive integer: '0'" in err
+
+    def test_unwritable_journal_is_an_error(self, fig4, tmp_path, capsys):
+        from repro import obs
+
+        journal = tmp_path / "missing" / "j.jsonl"
+        assert main(["debug", fig4, "--journal", str(journal)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not obs.enabled()
+
     def test_negative_outcome_is_code_1(self, fig4_fixed, capsys):
         # querying the symptom on the *fixed* program: root behaves as
         # intended, so nothing is localized

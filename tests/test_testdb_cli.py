@@ -145,6 +145,16 @@ class TestCompact:
         )
 
 
+class TestMissingStore:
+    @pytest.mark.parametrize("verb", ["stats", "compact"])
+    def test_verb_on_missing_store_creates_nothing(self, tmp_path, verb, capsys):
+        database = tmp_path / "typo"
+        assert main(["testdb", verb, str(database)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: no test-report store at {database}\n"
+        assert not database.exists()
+
+
 class TestDebugWithTestdb:
     def test_debug_reference_session_with_store(self, db, jsonl, tmp_path, capsys):
         main(["testdb", "import", db, jsonl])
