@@ -55,17 +55,26 @@ from time import perf_counter
 from repro import obs
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
-from repro.pascal.interpreter import Cell, GotoSignal
+from repro.pascal.interpreter import Cell
 from repro.pascal.semantics import (
     AnalyzedProgram,
     IO_PROCEDURES,
     TRACE_PROCEDURES,
 )
 from repro.pascal.symbols import ArrayTypeInfo, SymbolKind
-from repro.pascal.values import ArrayValue, UNDEFINED, copy_value, format_value
+from repro.pascal.values import (
+    ArrayValue,
+    GotoSignal,
+    UNDEFINED,
+    adapt_value,
+    copy_value,
+    expect_int,
+    format_value,
+    tick,
+)
 from repro.compile import ops
 from repro.compile.emit import enter_stmt
-from repro.compile.runtime import CFrame, adapt_value, tick
+from repro.compile.runtime import CFrame
 from repro.tracing.tracer import LoopPlan, RoutinePlan, loop_plan, routine_plan
 
 
@@ -1023,7 +1032,7 @@ class Compiler:
         else:
             keeps_going = lambda current, stop: current <= stop  # noqa: E731
         _tick = tick
-        _expect_int = ops.expect_int
+        _expect_int = expect_int
         if not self.traced:
 
             def for_plain(rt, f):

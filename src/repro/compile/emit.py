@@ -23,20 +23,18 @@ through one code path, including degraded-trace salvage.
 
 from __future__ import annotations
 
-from repro.pascal.errors import PascalRuntimeError, StepLimitExceeded
-from repro.pascal.interpreter import (
-    _RecursionHeadroom,
-    ExecutionResult,
-    GotoSignal,
-)
+from repro.pascal.errors import StepLimitExceeded
+from repro.pascal.interpreter import ExecutionResult
+from repro.pascal.values import DEADLINE_MASK, MainBody
 from repro.tracing.dynamic_deps import Occurrence
 from repro.tracing.tracer import TreeRecorder
-from repro.compile.runtime import _DEADLINE_MASK, Runtime
+from repro.compile.runtime import Runtime
 
 
 def enter_stmt(rt: "TraceSession", stmt_id: int, line: int, location) -> None:
-    """Traced statement prologue: step/deadline accounting plus a new
-    occurrence (with its control edge) pushed on the occurrence stack.
+    """Traced statement prologue: :func:`~repro.pascal.values.tick`,
+    inlined because it runs once per statement, plus a new occurrence
+    (with its control edge) pushed on the occurrence stack.
     The matching epilogue is ``rt.occ_stack.pop()``, which statement
     closures skip when unwinding — exactly like the interpreter's
     ``after_stmt`` hook, so goto-unwinding quirks replicate."""
@@ -46,7 +44,7 @@ def enter_stmt(rt: "TraceSession", stmt_id: int, line: int, location) -> None:
         raise StepLimitExceeded(
             f"execution exceeded {rt.step_limit} steps", location
         )
-    if rt.budget is not None and not steps & _DEADLINE_MASK:
+    if rt.budget is not None and not steps & DEADLINE_MASK:
         rt.budget.check(location)
     node = rt.cur_node
     rt.last_active_node_id = node.node_id
@@ -110,13 +108,9 @@ class TraceSession(Runtime, TreeRecorder):
     def run(self) -> ExecutionResult:
         frame = self.globals_frame
         self.open_main(self.analysis.main)
-        with _RecursionHeadroom():
+        with MainBody():
             try:
                 self.program.main(self, frame)
-            except GotoSignal as signal:
-                raise PascalRuntimeError(
-                    f"goto {signal.label.name} escaped the program", signal.location
-                )
             finally:
                 self.close_main(self.io.text)
         return ExecutionResult(io=self.io, globals_frame=frame, steps=self.steps)

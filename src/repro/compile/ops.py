@@ -9,38 +9,31 @@ tracing residue at all. In traced mode, read-dependence edges are
 emitted inline: a variable read appends its cell's last writer directly
 to the current occurrence's adjacency list.
 
-Conformance contract: evaluation order, error messages, error
-locations, and arithmetic semantics (64-bit overflow checks, truncating
-``div``/``mod``, eager ``and``/``or`` with the interpreter's
-short-circuited *bool check* on the right operand) replicate
-:class:`repro.pascal.interpreter.Interpreter` exactly.
+Conformance: the operand checks, the 64-bit bounds and ``div``/``mod``
+are the run-time rules of :mod:`repro.pascal.values`. The per-operator
+closures (``add`` … ``relational``, ``call_abs`` …) inline the fast
+path of those rules, a ``type(...) is int`` test and a bounds compare,
+and call the shared rule only to raise (``divide`` calls it to
+divide); the conformance fuzz holds them to the interpreter.
 """
 
 from __future__ import annotations
 
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError, UndefinedValueError
-from repro.pascal.interpreter import MAX_INT, MIN_INT
 from repro.pascal.semantics import BUILTIN_FUNCTIONS
 from repro.pascal.symbols import SymbolKind
-from repro.pascal.values import ArrayValue, UNDEFINED, format_value
-
-
-def expect_int(value: object, location) -> int:
-    """Raise unless ``value`` is a Pascal integer (bools excluded)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise PascalRuntimeError(
-            f"expected an integer, got {format_value(value)}", location
-        )
-    return value
-
-
-def expect_bool(value: object, location) -> bool:
-    if not isinstance(value, bool):
-        raise PascalRuntimeError(
-            f"expected a boolean, got {format_value(value)}", location
-        )
-    return value
+from repro.pascal.values import (
+    ArrayValue,
+    MAX_INT,
+    MIN_INT,
+    UNDEFINED,
+    check_int,
+    expect_bool,
+    expect_int,
+    pascal_div,
+    pascal_mod,
+)
 
 
 # ----------------------------------------------------------------------
@@ -49,8 +42,8 @@ def expect_bool(value: object, location) -> bool:
 
 def compile_resolver(C, ctx, expr):
     """Compile an lvalue to ``(rt, f) -> (cell, element-index-or-None)``,
-    mirroring ``Interpreter._resolve_reference`` (including evaluation
-    order: base first, multi-dimension check, then the index)."""
+    in ``Interpreter._resolve_reference``'s evaluation order: base
+    first, multi-dimension check, then the index."""
     if isinstance(expr, ast.VarRef):
         symbol = C.analysis.ref_symbol[expr.node_id]
         if symbol.kind is SymbolKind.CONSTANT:
@@ -222,7 +215,7 @@ def _builtin_call(C, ctx, expr):
                 value = expect_int(value, aloc)
             result = -value if value < 0 else value
             if result > MAX_INT:
-                raise PascalRuntimeError("integer overflow", location)
+                check_int(result, location)
             return result
 
         return call_abs
@@ -235,7 +228,7 @@ def _builtin_call(C, ctx, expr):
                 value = expect_int(value, aloc)
             result = value * value
             if result > MAX_INT:
-                raise PascalRuntimeError("integer overflow", location)
+                check_int(result, location)
             return result
 
         return call_sqr
@@ -326,7 +319,7 @@ def _binary_op(C, ctx, expr):
                 b = expect_int(b, right_loc)
             result = a + b
             if result > MAX_INT or result < MIN_INT:
-                raise PascalRuntimeError("integer overflow", location)
+                check_int(result, location)
             return result
 
         return add
@@ -341,7 +334,7 @@ def _binary_op(C, ctx, expr):
                 b = expect_int(b, right_loc)
             result = a - b
             if result > MAX_INT or result < MIN_INT:
-                raise PascalRuntimeError("integer overflow", location)
+                check_int(result, location)
             return result
 
         return sub
@@ -356,12 +349,12 @@ def _binary_op(C, ctx, expr):
                 b = expect_int(b, right_loc)
             result = a * b
             if result > MAX_INT or result < MIN_INT:
-                raise PascalRuntimeError("integer overflow", location)
+                check_int(result, location)
             return result
 
         return mul
     if op in ("div", "/", "mod"):
-        is_mod = op == "mod"
+        rule = pascal_mod if op == "mod" else pascal_div
 
         def divide(rt, f):
             a = left_ev(rt, f)
@@ -370,15 +363,7 @@ def _binary_op(C, ctx, expr):
                 a = expect_int(a, left_loc)
             if type(b) is not int:
                 b = expect_int(b, right_loc)
-            if b == 0:
-                raise PascalRuntimeError("division by zero", location)
-            # Truncating division, like classic Pascal (Python floors).
-            quotient = abs(a) // abs(b)
-            if (a >= 0) != (b >= 0):
-                quotient = -quotient
-            if is_mod:
-                return a - quotient * b
-            return quotient
+            return rule(a, b, location)
 
         return divide
     if op == "and":
@@ -388,8 +373,7 @@ def _binary_op(C, ctx, expr):
             b = right_ev(rt, f)
             if type(a) is not bool:
                 expect_bool(a, left_loc)
-            # The interpreter's `expect_bool(a) and expect_bool(b)`
-            # short-circuits the *check* on b when a is False.
+            # The shared rule checks b only when a does not decide.
             if not a:
                 return a
             if type(b) is not bool:

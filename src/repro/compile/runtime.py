@@ -15,29 +15,15 @@ traced closures keep):
   ``run()`` entry point. The traced
   variant lives in :mod:`repro.compile.emit`.
 
-Conformance: every limit check reproduces the interpreter byte for
-byte — same messages, same source locations, same check ordering — so
-differential tests can compare error strings across backends.
+The step accounting, the budget's limits, array widening and the
+escaped-goto error are the interpreter's own rules, imported from
+:mod:`repro.pascal.values`.
 """
 
 from __future__ import annotations
 
-from repro.pascal.errors import PascalRuntimeError, StepLimitExceeded
-from repro.pascal.interpreter import (
-    _MAX_DEPTH,
-    _RecursionHeadroom,
-    Cell,
-    ExecutionResult,
-    Frame,
-    GotoSignal,
-    PascalIO,
-)
-from repro.pascal.symbols import ArrayTypeInfo
-from repro.pascal.values import ArrayValue, default_value
-
-#: deadline checks fire when ``steps & _DEADLINE_MASK == 0`` (mirrors
-#: the interpreter / repro.resilience.budget.DEADLINE_CHECK_MASK)
-_DEADLINE_MASK = 0x3FF
+from repro.pascal.interpreter import Cell, ExecutionResult, Frame, PascalIO
+from repro.pascal.values import MainBody, default_value, run_limits
 
 
 class CFrame:
@@ -53,46 +39,11 @@ class CFrame:
         self.up = up
 
 
-def tick(rt: "Runtime", location) -> None:
-    """One step of the step/deadline accounting (statement prologue in
-    plain mode; loop-iteration tick in both modes). Mirrors
-    ``Interpreter._tick`` exactly."""
-    steps = rt.steps + 1
-    rt.steps = steps
-    if steps > rt.step_limit:
-        raise StepLimitExceeded(
-            f"execution exceeded {rt.step_limit} steps", location
-        )
-    if rt.budget is not None and not steps & _DEADLINE_MASK:
-        rt.budget.check(location)
-
-
-def adapt_value(value: object, target_type: object) -> object:
-    """Widen an array value to a larger declared array type (mirrors
-    ``Interpreter._adapt_value``, including the location-less error)."""
-    if (
-        isinstance(target_type, ArrayTypeInfo)
-        and isinstance(value, ArrayValue)
-        and (value.low, value.high) != (target_type.low, target_type.high)
-    ):
-        if len(value.elements) > target_type.length:
-            raise PascalRuntimeError(
-                f"array value with {len(value.elements)} elements does not "
-                f"fit array[{target_type.low}..{target_type.high}]"
-            )
-        widened = ArrayValue(target_type.low, target_type.high)
-        for offset, element in enumerate(value.elements):
-            widened.elements[offset] = element
-        return widened
-    return value
-
-
 class Runtime:
     """Per-run state for the compiled backend (plain, untraced mode).
 
-    Matches the interpreter's construction contract: a budget tightens
-    the step limit and call depth and is armed on construction if not
-    already started. ``globals_frame`` is a real interpreter
+    Limits come from :func:`~repro.pascal.values.run_limits`, as the
+    interpreter's do. ``globals_frame`` is a real interpreter
     :class:`Frame` (so :class:`ExecutionResult` consumers see the same
     shape) whose cells are additionally exposed positionally through
     ``gslots`` for compiled global access.
@@ -116,15 +67,8 @@ class Runtime:
         #: the program's body table, read by every call closure
         self.bodies = program.bodies
         self.io = io if io is not None else PascalIO()
-        if budget is not None:
-            step_limit = budget.effective_step_limit(step_limit)
-            self.max_depth = budget.effective_call_depth(_MAX_DEPTH)
-            if budget.deadline_at is None:
-                budget.start()
-        else:
-            self.max_depth = _MAX_DEPTH
+        self.step_limit, self.max_depth = run_limits(step_limit, budget)
         self.budget = budget
-        self.step_limit = step_limit
         self.steps = 0
         frame = Frame(routine=program.analysis.main)
         cells = frame.cells
@@ -142,11 +86,6 @@ class Runtime:
     def run(self) -> ExecutionResult:
         """Execute the whole program from its (compiled) main body."""
         frame = self.globals_frame
-        with _RecursionHeadroom():
-            try:
-                self.program.main(self, frame)
-            except GotoSignal as signal:
-                raise PascalRuntimeError(
-                    f"goto {signal.label.name} escaped the program", signal.location
-                )
+        with MainBody():
+            self.program.main(self, frame)
         return ExecutionResult(io=self.io, globals_frame=frame, steps=self.steps)

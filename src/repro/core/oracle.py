@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, TextIO
 
 from repro.core.queries import Answer, AnswerKind, AnswerSource, Query
-from repro.pascal.errors import PascalError
+from repro.pascal.errors import LexError, ParseError, PascalError
 from repro.pascal.interpreter import Interpreter, PascalIO
 from repro.pascal.semantics import AnalyzedProgram
 from repro.pascal.values import ArrayValue, UNDEFINED, values_equal
@@ -82,8 +82,8 @@ class InteractiveOracle:
     Input forms: ``yes``/``y``, ``no``/``n``, ``no 2`` (error on the 2nd
     output), ``no <name>`` (error on output <name>), ``assert <expr>``,
     ``?``/``dont-know``. An answer it cannot read, such as an output
-    position or name the unit does not have, is asked again after the
-    usage line.
+    position or name the unit does not have or an assertion that does
+    not parse, is asked again after the usage line.
     """
 
     def __init__(self, input_fn: Callable[[str], str] = input, output: TextIO | None = None):
@@ -129,12 +129,11 @@ class InteractiveOracle:
         if text.startswith("assert "):
             from repro.core.assertions import Assertion
 
-            expr = raw.strip()[7:].strip()
-            if expr:
-                return Answer(
-                    kind=AnswerKind.ASSERTION,
-                    assertion=Assertion(unit=node.unit_name, text=expr),
-                )
+            try:
+                assertion = Assertion(unit=node.unit_name, text=raw.strip()[7:].strip())
+            except (LexError, ParseError):
+                return None
+            return Answer(kind=AnswerKind.ASSERTION, assertion=assertion)
         return None
 
 

@@ -38,6 +38,7 @@ from repro.pascal.symbols import (
     SymbolKind,
     Type,
 )
+from repro.pascal.values import pascal_div, pascal_mod
 
 if TYPE_CHECKING:
     from repro.analysis.sideeffects import SideEffects
@@ -763,24 +764,13 @@ def _assignable(target: Type, value: Type, value_expr: ast.Expr) -> bool:
 def _const_div(a: int, b: int, expr: ast.Expr) -> int:
     if b == 0:
         raise SemanticError("constant division by zero", expr.location)
-    return _pascal_div(a, b)
+    return pascal_div(a, b, expr.location)
 
 
 def _const_mod(a: int, b: int, expr: ast.Expr) -> int:
     if b == 0:
         raise SemanticError("constant modulo by zero", expr.location)
-    return _pascal_mod(a, b)
-
-
-def _pascal_div(a: int, b: int) -> int:
-    """Pascal's div truncates toward zero (unlike Python's floor division)."""
-    quotient = abs(a) // abs(b)
-    return quotient if (a >= 0) == (b >= 0) else -quotient
-
-
-def _pascal_mod(a: int, b: int) -> int:
-    """Pascal's mod satisfies a = (a div b) * b + (a mod b)."""
-    return a - _pascal_div(a, b) * b
+    return pascal_mod(a, b, expr.location)
 
 
 def analyze(program: ast.Program) -> AnalyzedProgram:

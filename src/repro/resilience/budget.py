@@ -2,9 +2,9 @@
 
 A :class:`Budget` bounds one pipeline activity along four axes:
 
-* **wall clock** (``deadline_s``) — checked by the interpreter every
-  :data:`DEADLINE_CHECK_MASK` + 1 steps, so an infinite loop costs at
-  most the deadline, never the sweep;
+* **wall clock** (``deadline_s``) — checked by a run every
+  :data:`repro.pascal.values.DEADLINE_MASK` + 1 steps, so an infinite
+  loop costs at most the deadline, never the sweep;
 * **steps** (``step_limit``) — tightens (never loosens) the
   interpreter's own step budget;
 * **call depth** (``max_call_depth``) — tightens the interpreter's
@@ -34,9 +34,6 @@ def _journal(action: str, **fields: object) -> None:
     obs = sys.modules.get("repro.obs")
     if obs is not None:
         obs.emit("budget", action=action, **fields)
-
-#: the interpreter tests the wall clock when ``steps & MASK == 0``
-DEADLINE_CHECK_MASK = 0x3FF
 
 #: depth cap applied to a salvaged partial tree when the budget does
 #: not name one (keeps the degraded debug search bounded)

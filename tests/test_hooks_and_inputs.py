@@ -18,9 +18,6 @@ class Recorder(ExecutionHooks):
     def exit_routine(self, info, frame, via_goto):
         self.events.append(("exit", info.name, via_goto))
 
-    def branch(self, stmt, frame, taken):
-        self.events.append(("branch", taken))
-
     def loop_enter(self, stmt, frame):
         self.events.append(("loop_enter",))
 
@@ -58,14 +55,6 @@ class TestHookProtocol:
             ("exit", "outer", None),
             ("exit", "t", None),
         ]
-
-    def test_branch_events_carry_outcome(self):
-        events = self.run(
-            "program t; var x: integer; begin x := 1; "
-            "if x > 0 then x := 2; if x > 9 then x := 3 end."
-        )
-        branches = [event[1] for event in events if event[0] == "branch"]
-        assert branches == [True, False]
 
     def test_loop_events_counted(self):
         events = self.run(

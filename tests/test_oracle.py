@@ -184,6 +184,22 @@ class TestInteractiveOracle:
         assert answer.error_variable == name
         assert oracle._output.getvalue().count("answers: yes | no") == 1
 
+    def test_malformed_assertion_asks_again(self, buggy_trace):
+        node = buggy_trace.tree.find("computs")
+        oracle = self.answers("assert (x", "assert 1 +", "assert r1 = sqr(y)")
+        answer = oracle.answer(Query(node))
+        assert answer.kind is AnswerKind.ASSERTION
+        assert answer.assertion.text == "r1 = sqr(y)"
+        assert oracle._output.getvalue().count("answers: yes | no") == 2
+
+    def test_malformed_assertion_does_not_end_the_session(self):
+        oracle = self.answers(
+            "assert (x", "no", "yes", "no 1", "no", "no 2", "no", "no"
+        )
+        result = GadtSystem.from_source(FIGURE4_SOURCE).debugger(oracle).debug()
+        assert result.bug_unit == "decrement"
+        assert oracle.questions == 7
+
 
 class TestTransformedReference:
     FIXED = """
