@@ -29,7 +29,11 @@ is evicted or cleared only costs a parse. A ``transform`` miss on the
 analysis a recipe built likewise patches the cached transform of the
 recipe's base (:class:`repro.transform.pipeline.TransformPatch`), so a
 mutant stays a patch of its host's transform for as long as its recipe
-lives, whatever the other caches evicted.
+lives, whatever the other caches evicted. The ``patch`` cache also holds
+a :class:`repro.pascal.semantics.Relocation` for each text the printer
+prints: an ``analysis`` miss on it analyzes a copy of the printed
+program, located as a parse of the text would locate it. A printed
+text never replaces a recipe already held for it.
 
 Caches live in the process that fills them; they are bounded LRU (a
 mutation sweep over thousands of distinct mutant sources must not
@@ -148,6 +152,11 @@ class ContentCache:
     def put(self, key: tuple, value: Any) -> None:
         """Store ``value`` under ``key``."""
         if _ENABLED:
+            self._put(key, value)
+
+    def add(self, key: tuple, value: Any) -> None:
+        """Store ``value`` under ``key`` unless an entry is there."""
+        if _ENABLED and key not in self._store:
             self._put(key, value)
 
     def discard(self, key: tuple) -> None:

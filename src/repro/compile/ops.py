@@ -271,6 +271,7 @@ def _builtin_call(C, ctx, expr):
 def _unary_op(C, ctx, expr):
     operand_ev = compile_expr(C, ctx, expr.operand)
     operand_loc = expr.operand.location
+    location = expr.location
     op = expr.op
     if op == "-":
 
@@ -278,7 +279,10 @@ def _unary_op(C, ctx, expr):
             value = operand_ev(rt, f)
             if type(value) is not int:
                 value = expect_int(value, operand_loc)
-            return -value
+            value = -value
+            if value > MAX_INT:  # -MIN_INT
+                check_int(value, location)
+            return value
 
         return negate
     if op == "not":
@@ -290,7 +294,6 @@ def _unary_op(C, ctx, expr):
             return not value
 
         return invert
-    location = expr.location
 
     def unknown_unary(rt, f):
         operand_ev(rt, f)

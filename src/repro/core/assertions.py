@@ -23,6 +23,7 @@ from repro.core.queries import Answer, AnswerSource, Query
 from repro.pascal import ast_nodes as ast
 from repro.pascal.errors import PascalRuntimeError
 from repro.pascal.parser import parse_expression
+from repro.pascal.semantics import check_literals
 from repro.pascal.values import (
     ArrayValue,
     UNDEFINED,
@@ -43,7 +44,8 @@ class AssertionError_(Exception):
 class Assertion:
     """A stored partial specification for one unit. Its text is parsed
     on construction, so a malformed one raises ``LexError`` or
-    ``ParseError`` there."""
+    ``ParseError`` there, and one with an integer literal beyond
+    ``MAX_INT`` a ``SemanticError``."""
 
     unit: str
     text: str
@@ -53,7 +55,9 @@ class Assertion:
     expr: ast.Expr = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "expr", parse_expression(self.text))
+        expr = parse_expression(self.text)
+        check_literals(expr)
+        object.__setattr__(self, "expr", expr)
 
     def __str__(self) -> str:
         return f"{self.unit}: {self.text}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, TextIO
 
 from repro.core.queries import Answer, AnswerKind, AnswerSource, Query
-from repro.pascal.errors import LexError, ParseError, PascalError
+from repro.pascal.errors import LexError, ParseError, PascalError, SemanticError
 from repro.pascal.interpreter import Interpreter, PascalIO
 from repro.pascal.semantics import AnalyzedProgram
 from repro.pascal.values import ArrayValue, UNDEFINED, values_equal
@@ -131,7 +131,7 @@ class InteractiveOracle:
 
             try:
                 assertion = Assertion(unit=node.unit_name, text=raw.strip()[7:].strip())
-            except (LexError, ParseError):
+            except (LexError, ParseError, SemanticError):
                 return None
             return Answer(kind=AnswerKind.ASSERTION, assertion=assertion)
         return None

@@ -348,24 +348,33 @@ class Goto(Stmt):
 # Utilities
 
 
-def clone(node: Node, ids: dict[int, int] | None = None) -> Node:
+def clone(
+    node: Node,
+    ids: dict[int, int] | None = None,
+    locations: dict[int, SourceLocation] | None = None,
+) -> Node:
     """Deep-copy an AST, assigning fresh node ids throughout.
 
     Returns a structurally identical tree that shares no nodes with the
     original — used by the transformation phase, which must leave the
     original program intact for transparent debugging. When ``ids`` is
     given, it receives new id -> original id for every copied node.
+    When ``locations`` is given, each copy is located at the entry for
+    its original's id instead of where its original is.
     """
     if not isinstance(node, Node):
         return node
-    kwargs = {"location": node.location}
+    kwargs = {
+        "location": node.location if locations is None else locations[node.node_id]
+    }
     for name in child_fields(type(node)):
         value = getattr(node, name)
         if isinstance(value, Node):
-            kwargs[name] = clone(value, ids)
+            kwargs[name] = clone(value, ids, locations)
         elif isinstance(value, list):
             kwargs[name] = [
-                clone(item, ids) if isinstance(item, Node) else item for item in value
+                clone(item, ids, locations) if isinstance(item, Node) else item
+                for item in value
             ]
         else:
             kwargs[name] = value

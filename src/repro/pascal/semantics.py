@@ -20,7 +20,7 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, ClassVar
 
 from repro import cache as _cache
 from repro import obs
@@ -38,7 +38,7 @@ from repro.pascal.symbols import (
     SymbolKind,
     Type,
 )
-from repro.pascal.values import pascal_div, pascal_mod
+from repro.pascal.values import MAX_INT, check_int, pascal_div, pascal_mod
 
 if TYPE_CHECKING:
     from repro.analysis.sideeffects import SideEffects
@@ -355,9 +355,10 @@ class SemanticAnalyzer:
         raise SemanticError("unsupported type expression", type_expr.location)
 
     def _eval_const(self, expr: ast.Expr, scope: Scope) -> tuple[object, Type]:
-        """Evaluate a compile-time constant expression."""
+        """Evaluate a compile-time constant expression, overflowing as a
+        run would."""
         if isinstance(expr, ast.IntLiteral):
-            return expr.value, INTEGER
+            return _checked_literal(expr), INTEGER
         if isinstance(expr, ast.BoolLiteral):
             return expr.value, BOOLEAN
         if isinstance(expr, ast.StringLiteral):
@@ -375,7 +376,7 @@ class SemanticAnalyzer:
             if value_type is not INTEGER:
                 raise SemanticError("unary '-' needs an integer constant", expr.location)
             assert isinstance(value, int)
-            return -value, INTEGER
+            return check_int(-value, expr.location), INTEGER
         if isinstance(expr, ast.BinaryOp) and expr.op in ("+", "-", "*", "div", "mod"):
             left, left_type = self._eval_const(expr.left, scope)
             right, right_type = self._eval_const(expr.right, scope)
@@ -389,7 +390,7 @@ class SemanticAnalyzer:
                 "div": lambda a, b: _const_div(a, b, expr),
                 "mod": lambda a, b: _const_mod(a, b, expr),
             }
-            return ops[expr.op](left, right), INTEGER
+            return check_int(ops[expr.op](left, right), expr.location), INTEGER
         raise SemanticError("expression is not a compile-time constant", expr.location)
 
     # ------------------------------------------------------------------
@@ -612,6 +613,7 @@ class SemanticAnalyzer:
     def _analyze_expr_inner(self, expr: ast.Expr, scope: Scope, as_target: bool) -> Type:
         result = self._require_result()
         if isinstance(expr, ast.IntLiteral):
+            _checked_literal(expr)
             return INTEGER
         if isinstance(expr, ast.BoolLiteral):
             return BOOLEAN
@@ -761,6 +763,25 @@ def _assignable(target: Type, value: Type, value_expr: ast.Expr) -> bool:
     return False
 
 
+def _checked_literal(expr: ast.IntLiteral) -> int:
+    """The value of an integer literal, if it is at most ``MAX_INT``."""
+    if expr.value > MAX_INT:
+        raise SemanticError(
+            f"integer literal {expr.value} exceeds the largest integer {MAX_INT}",
+            expr.location,
+        )
+    return expr.value
+
+
+def check_literals(expr: ast.Expr) -> None:
+    """Reject an integer literal in ``expr`` beyond ``MAX_INT``, as
+    :func:`analyze` does: for an expression analyzed on its own (an
+    assertion)."""
+    for node in expr.walk():
+        if isinstance(node, ast.IntLiteral):
+            _checked_literal(node)
+
+
 def _const_div(a: int, b: int, expr: ast.Expr) -> int:
     if b == 0:
         raise SemanticError("constant division by zero", expr.location)
@@ -796,6 +817,10 @@ class AnalysisPatch:
     path: tuple
     host: ast.Stmt
     fault: ast.Expr
+
+    #: the span :func:`analyze_source` times a build in, the counter it adds to
+    span: ClassVar[str] = "pascal.analyze.patch"
+    counter: ClassVar[str] = "pascal.analyze.patched"
 
     def locations(self) -> dict[int, SourceLocation]:
         """Where a parse of the variant's text locates each expression on
@@ -841,6 +866,35 @@ class AnalysisPatch:
         while link[0] is not host:
             link = link[1]
         return patched_analysis(self.base, [(link, relocated_expressions(host))], copies)
+
+
+@dataclass(eq=False)
+class Relocation:
+    """The recipe for the analysis of ``program``'s printed text, the
+    text whose digest (:func:`repro.cache.source_key`) is ``digest``:
+    what a parse of the text builds, made by copying ``program``
+    (:func:`~repro.pascal.pretty.relocated`), then analyzed. The copy
+    has fresh ids and the parse's locations, and shares no node or side
+    table with any analysis of ``program``. :meth:`build` returns None
+    if only a parse can build the text's tree (see
+    :meth:`~repro.pascal.pretty.PrettyPrinter.locate_program`), or if
+    ``program`` has changed since it was printed."""
+
+    program: ast.Program
+    digest: tuple
+    #: where a parse of the text locates each node, if the print noted
+    #: it; the first build takes it, so no recipe keeps it once built
+    located: dict[int, SourceLocation] | None = None
+
+    span: ClassVar[str] = "pascal.analyze.relocate"
+    counter: ClassVar[str] = "pascal.analyze.relocated"
+
+    def build(self) -> AnalyzedProgram | None:
+        from repro.pascal.pretty import relocated
+
+        located, self.located = self.located, None
+        copy = relocated(self.program, self.digest, located)
+        return None if copy is None else analyze(copy)
 
 
 def patched_analysis(
@@ -908,8 +962,9 @@ def _with_child(parent: ast.Node, child: ast.Node, copy: ast.Node) -> ast.Node:
 #: content-addressed cache for :func:`analyze_source` (see repro.cache)
 _ANALYSIS_CACHE = _cache.register("analysis")
 
-#: :class:`AnalysisPatch` recipes by the digest of the text each builds
-#: the analysis of; bounded, so a lost recipe only costs a parse
+#: :class:`AnalysisPatch` and :class:`Relocation` recipes by the digest
+#: of the text each builds the analysis of; bounded, so a lost recipe
+#: only costs a parse
 _PATCHES = _cache.register("patch", max_entries=1024)
 
 
@@ -919,6 +974,21 @@ def register_patch(source: str, patch: AnalysisPatch) -> None:
     _PATCHES.put(_cache.source_key(source), patch)
 
 
+def register_print(
+    source: str,
+    program: ast.Program,
+    located: dict[int, SourceLocation] | None = None,
+) -> None:
+    """Have :func:`analyze_source` build the analysis of ``source``,
+    the printed text of ``program``, from ``program`` (a
+    :class:`Relocation`, given the print's ``located`` table if it
+    noted one) instead of a parse, whenever it is not cached. A text
+    that already has a recipe keeps it: a mutant's text printed from
+    its analysis stays a patch of its host's."""
+    key = _cache.source_key(source)
+    _PATCHES.add(key, Relocation(program, key, located))
+
+
 def forget_patch(source: str) -> None:
     """Drop the recipe registered for ``source``, if any: its analysis
     is then built by a parse, or served from the cache."""
@@ -926,9 +996,11 @@ def forget_patch(source: str) -> None:
 
 
 def registered_patch(source: str) -> AnalysisPatch | None:
-    """The recipe registered for ``source`` (see :func:`register_patch`),
-    or None."""
-    return _PATCHES.peek(_cache.source_key(source))
+    """The :class:`AnalysisPatch` registered for ``source`` (see
+    :func:`register_patch`), or None: a printed text's
+    :class:`Relocation` is no mutant's recipe."""
+    recipe = _PATCHES.peek(_cache.source_key(source))
+    return recipe if isinstance(recipe, AnalysisPatch) else None
 
 
 def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:
@@ -938,10 +1010,12 @@ def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:
     source hash: identical text returns the identical
     :class:`AnalyzedProgram` object (analysis is pure and consumers
     never mutate it); any edit yields a fresh analysis. A text with a
-    registered :class:`AnalysisPatch` (a mutant) is built by patching
-    its base's analysis rather than parsed. Pass ``cached=False`` to
-    force a parse: the reference the patched analyses are tested
-    against.
+    registered recipe is built from it rather than parsed: a mutant's
+    (:class:`AnalysisPatch`) by patching its base's analysis, a printed
+    program's (:class:`Relocation`) by analyzing a copy of the program
+    located as in the text; a recipe that declines costs a parse. Pass
+    ``cached=False`` to force a parse: the reference the recipes are
+    tested against.
     """
     from repro.pascal.parser import parse_program
 
@@ -950,12 +1024,13 @@ def analyze_source(source: str, cached: bool = True) -> AnalyzedProgram:
     key = _cache.source_key(source)
 
     def build() -> AnalyzedProgram:
-        patch = _PATCHES.peek(key)
-        if patch is None:
-            return analyze(parse_program(source))
-        with obs.span("pascal.analyze.patch"):
-            analysis = patch.build()
-        obs.add("pascal.analyze.patched")
-        return analysis
+        recipe = _PATCHES.peek(key)
+        if recipe is not None:
+            with obs.span(recipe.span):
+                analysis = recipe.build()
+            if analysis is not None:
+                obs.add(recipe.counter)
+                return analysis
+        return analyze(parse_program(source))
 
     return _ANALYSIS_CACHE.get_or_build(key, build)

@@ -199,17 +199,24 @@ def check_int(value: int, location) -> int:
     raise PascalRuntimeError("integer overflow", location)
 
 
-def pascal_div(a: int, b: int, location) -> int:
-    """``a div b``, truncating toward zero (Python's ``//`` floors)."""
+def _quotient(a: int, b: int, location) -> int:
+    """``a / b`` truncated toward zero (Python's ``//`` floors)."""
     if b == 0:
         raise PascalRuntimeError("division by zero", location)
     quotient = abs(a) // abs(b)
     return quotient if (a >= 0) == (b >= 0) else -quotient
 
 
+def pascal_div(a: int, b: int, location) -> int:
+    """``a div b``, truncating toward zero. ``MIN_INT div -1`` is the
+    one quotient of two integers out of range."""
+    return check_int(_quotient(a, b, location), location)
+
+
 def pascal_mod(a: int, b: int, location) -> int:
-    """``a mod b``, so that ``a = (a div b) * b + (a mod b)``."""
-    return a - pascal_div(a, b, location) * b
+    """``a mod b``, so that ``a = (a div b) * b + (a mod b)`` (``MIN_INT
+    mod -1`` is 0)."""
+    return a - _quotient(a, b, location) * b
 
 
 def builtin(call, args: list[int]) -> object:
@@ -236,7 +243,7 @@ def builtin(call, args: list[int]) -> object:
 def unary(expr, operand: object) -> object:
     """``expr.op`` applied to its evaluated operand."""
     if expr.op == "-":
-        return -expect_int(operand, expr.operand.location)
+        return check_int(-expect_int(operand, expr.operand.location), expr.location)
     if expr.op == "not":
         return not expect_bool(operand, expr.operand.location)
     raise PascalRuntimeError(f"unknown unary operator {expr.op}", expr.location)

@@ -13,9 +13,10 @@ cache shares with every other caller: each mutant's faulty node is a
 copy, and its source is the host program's text, printed once, with the
 one line holding that node re-rendered.
 
-The printed text is the *base* of the mutants, and its analysis (one
-parse, none if the host is already in printed form) is the base of
-their analyses. Each mutant registers a recipe for its own analysis
+The printed text is the *base* of the mutants, and its analysis (a
+copy of the host's program analyzed afresh, no parse; nothing new if
+the host is already in printed form) is the base of their analyses.
+Each mutant registers a recipe for its own analysis
 (:func:`~repro.pascal.semantics.register_patch`): the faulty node, its
 path from the root and its statement. The first ``analyze_source`` of
 the mutant text, by ``run_source``, ``trace_source``, a sweep worker
@@ -131,10 +132,12 @@ def generate_mutants(
         program = analyze_source(source).program
         printed = PrintedProgram(program)
         # The base of every mutant is the printed text, which is what
-        # the mutants are edits of: one cache entry if already canonical.
+        # the mutants are edits of: one cache entry if already canonical,
+        # else analyzed from a copy of the program (no parse), whose
+        # statements take over the printed lines.
         base = analyze_source(printed.text)
         if base.program is not printed.program:
-            printed = PrintedProgram(base.program)
+            printed = printed.rebased(base.program)
         # A host's text is transformed on its own, never as a patch of
         # another host's: its recipe (say, as the fixed program's
         # mutant, for a buggy host) could lead back to one of its own

@@ -185,19 +185,21 @@ class TestJournalOverhead:
         generated = generate_call_tree_program(CallTreeSpec(depth=8))
         trace_source(generated.source, backend="compiled")  # warm caches
 
+        # CPU time of this process (the journal's writes included), so a
+        # neighbour's burst on a shared core stretches neither side.
         def timed() -> float:
-            started = time.perf_counter()
+            started = time.process_time()
             trace_source(generated.source, backend="compiled")
-            return time.perf_counter() - started
+            return time.process_time() - started
 
         def journaled(path) -> float:
             with recording(path):
                 return timed()
 
         # Bare and journaled runs are interleaved in pairs, in turn
-        # bare-first and journaled-first, so a neighbour's load lands on
-        # both sides of a pair; the median of the per-pair ratios sets
-        # aside the pairs it hit unevenly.
+        # bare-first and journaled-first, so cache and clock effects land
+        # on both sides of a pair; the median of the per-pair ratios sets
+        # aside the pairs they hit unevenly.
         ratios = []
         for repeat in range(21):
             path = str(tmp_path / f"j{repeat}.jsonl")

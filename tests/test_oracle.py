@@ -186,11 +186,13 @@ class TestInteractiveOracle:
 
     def test_malformed_assertion_asks_again(self, buggy_trace):
         node = buggy_trace.tree.find("computs")
-        oracle = self.answers("assert (x", "assert 1 +", "assert r1 = sqr(y)")
+        oracle = self.answers(
+            "assert (x", "assert 1 +", "assert r1 = 9223372036854775808", "assert r1 = sqr(y)"
+        )
         answer = oracle.answer(Query(node))
         assert answer.kind is AnswerKind.ASSERTION
         assert answer.assertion.text == "r1 = sqr(y)"
-        assert oracle._output.getvalue().count("answers: yes | no") == 2
+        assert oracle._output.getvalue().count("answers: yes | no") == 3
 
     def test_malformed_assertion_does_not_end_the_session(self):
         oracle = self.answers(

@@ -20,7 +20,7 @@ import pytest
 
 from repro.core.assertions import Assertion, AssertionError_
 from repro.pascal import run_source
-from repro.pascal.errors import PascalRuntimeError
+from repro.pascal.errors import PascalError, PascalRuntimeError, SemanticError
 from repro.pascal.values import MAX_INT, MIN_INT
 from repro.tracing.execution_tree import Binding, BindingMode, ExecNode, NodeKind
 
@@ -53,6 +53,11 @@ TABLE = [
     ("a mod b", {"a": -7, "b": 2}, -1),
     ("a mod b", {"a": 7, "b": -2}, 1),
     ("a mod b", {"a": -7, "b": -2}, -1),
+    ("a div b", {"a": MIN_INT, "b": -1}, OVERFLOW),
+    ("a div b", {"a": MIN_INT, "b": 1}, MIN_INT),
+    ("a mod b", {"a": MIN_INT, "b": -1}, 0),
+    ("-a", {"a": MIN_INT}, OVERFLOW),
+    ("-a", {"a": MAX_INT}, MIN_INT + 1),
     ("a div b", {"a": 1, "b": 0}, BY_ZERO),
     ("a mod b", {"a": 0, "b": 0}, BY_ZERO),
     ("odd(a)", {"a": -3}, True),
@@ -164,3 +169,63 @@ def test_mixed_equality_assertion(row):
         ],
     )
     assert Assertion(unit="p", text=expr).evaluate(node) is as_assertion
+
+
+#: (program statement, input values, the operator's token): the
+#: statement's ``integer overflow`` is at that token, on both engines
+OVERFLOW_AT = [
+    ("writeln(a div b)", [MIN_INT, -1], "div"),
+    ("writeln(-a)", [MIN_INT, 0], "-"),
+]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+@pytest.mark.parametrize("row", OVERFLOW_AT, ids=lambda row: row[0])
+def test_overflow_is_located_at_the_operator(row, backend):
+    statement, inputs, operator = row
+    source = f"program t; var a, b: integer; begin read(a, b); {statement} end."
+    with pytest.raises(PascalRuntimeError) as raised:
+        run_source(source, inputs=inputs, backend=backend)
+    column = source.index(operator, source.index("writeln")) + 1
+    assert str(raised.value) == f"1:{column}: integer overflow"
+
+
+#: programs with an integer literal beyond ``MAX_INT``: the analysis
+#: rejects each at the literal's own token
+TOO_LARGE = str(MAX_INT + 1)
+OUT_OF_RANGE_LITERALS = [
+    f"program t; begin writeln(max({TOO_LARGE}, 0)) end.",
+    f"program t; var a: integer; begin a := {TOO_LARGE} end.",
+    f"program t; var a: integer; begin a := -{TOO_LARGE} end.",
+    f"program t; const c = {TOO_LARGE}; begin writeln(c) end.",
+    f"program t; var v: array[1..{TOO_LARGE}] of integer; begin end.",
+]
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+@pytest.mark.parametrize("source", OUT_OF_RANGE_LITERALS)
+def test_literal_beyond_max_int_is_rejected(source, backend):
+    with pytest.raises(SemanticError) as raised:
+        run_source(source, backend=backend)
+    assert str(raised.value) == (
+        f"1:{source.index(TOO_LARGE) + 1}: integer literal {TOO_LARGE} "
+        f"exceeds the largest integer {MAX_INT}"
+    )
+
+
+@pytest.mark.parametrize("backend", ["interp", "compiled"])
+def test_largest_literal_and_folded_constants(backend):
+    source = (
+        f"program t; const c = {MAX_INT}; d = -c - 1; "
+        "begin writeln(max(c, 0), ' ', d) end."
+    )
+    assert run_source(source, backend=backend).output == f"{MAX_INT} {MIN_INT}\n"
+    with pytest.raises(PascalError) as raised:
+        run_source(f"program t; const c = {MAX_INT} + 1; begin end.", backend=backend)
+    assert str(raised.value) == "1:42: integer overflow"
+
+
+def test_assertion_literal_beyond_max_int_is_rejected():
+    with pytest.raises(SemanticError) as raised:
+        Assertion(unit="p", text=f"x = {TOO_LARGE}")
+    assert str(raised.value).startswith("1:5: integer literal")
