@@ -17,10 +17,11 @@ object), a transformation's ``SourceMap`` and the transparency layer
 (transformed ids to ids of the one original program). The reference
 oracle matches questions by unit name and inputs, never by id.
 
-Nodes are plain mutable dataclasses: the transformation phase rewrites
-trees by building new nodes, and :func:`clone` produces deep copies with
-fresh ids when a construct must appear in both the original and the
-transformed program.
+Nodes are plain mutable dataclasses, but no phase edits a tree it did
+not build: a transformation pass builds new nodes for what it rewrites
+and shares the rest with its input (same objects, same ids), and
+:func:`clone` produces deep copies with fresh ids when a construct must
+appear in both the original and the transformed program.
 """
 
 from __future__ import annotations

@@ -54,6 +54,7 @@ class _GlobalsToParams(Rewriter):
         self.extra: dict[Symbol, list[tuple[Symbol, str]]] = {}
         self.added_params: dict[str, list[tuple[str, str]]] = {}
         self._compute_extra_params()
+        self._functions_extended = any(symbol.is_function for symbol in self.extra)
 
     # ------------------------------------------------------------------
 
@@ -113,12 +114,11 @@ class _GlobalsToParams(Rewriter):
     def finish_routine(
         self, new_decl: ast.RoutineDecl, original: ast.RoutineDecl
     ) -> ast.RoutineDecl:
-        info = next(
-            info
-            for info in self.analysis.user_routines()
-            if info.decl is original
-        )
-        for symbol, mode in self.extra.get(info.symbol, ()):
+        extra = self.extra.get(self.routine_info(original).symbol)
+        if not extra:
+            return new_decl
+        new_decl = self.own(new_decl)
+        for symbol, mode in extra:
             param = ast.Param(
                 name=symbol.name,
                 type_expr=self._param_type_expr(symbol),
@@ -129,78 +129,56 @@ class _GlobalsToParams(Rewriter):
             new_decl.params.append(param)
         return new_decl
 
-    def _extra_args_for(self, callee: Symbol, location) -> list[ast.Expr]:
-        args: list[ast.Expr] = []
-        for symbol, _mode in self.extra.get(callee, ()):
-            ref = ast.VarRef(name=symbol.name, location=location)
-            self.source_map.record_synthesized(ref)
-            args.append(ref)
-        return args
+    def _with_extra_args(self, call: ast.ProcCall | ast.FuncCall) -> ast.Node:
+        """``call`` with its arguments rewritten and, when it calls a
+        routine that gained parameters, the variables they take."""
+        args = self.rewrite_expr_list(call.args)
+        callee = self.analysis.call_target.get(call.node_id)
+        if callee is not None and callee.kind is SymbolKind.ROUTINE:
+            extra = self.extra.get(callee, ())
+            if extra:
+                args = [*args, *(self._extra_arg(symbol, call.location) for symbol, _ in extra)]
+        return self.rebuild(call, args=args)
+
+    def _extra_arg(self, symbol: Symbol, location) -> ast.VarRef:
+        ref = ast.VarRef(name=symbol.name, location=location)
+        self.source_map.record_synthesized(ref)
+        return ref
 
     def rewrite_proccall(self, stmt: ast.ProcCall) -> ast.Stmt:
-        new_stmt = ast.ProcCall(
-            name=stmt.name,
-            args=[self.rewrite_expr(arg) for arg in stmt.args],
-            location=stmt.location,
-            label=stmt.label,
-        )
-        callee = self.analysis.call_target.get(stmt.node_id)
-        if callee is not None and callee.kind is SymbolKind.ROUTINE:
-            new_stmt.args.extend(self._extra_args_for(callee, stmt.location))
-        self.source_map.record(new_stmt, stmt)
-        return new_stmt
+        return self._with_extra_args(stmt)
 
     def rewrite_expr(self, expr: ast.Expr) -> ast.Expr:
-        if isinstance(expr, ast.FuncCall):
-            new_expr = ast.FuncCall(
-                name=expr.name,
-                args=[self.rewrite_expr(arg) for arg in expr.args],
-                location=expr.location,
+        if not self._functions_extended:
+            return expr  # no call in an expression gains arguments
+        kind = type(expr)
+        if kind is ast.BinaryOp:
+            return self.rebuild(
+                expr, left=self.rewrite_expr(expr.left), right=self.rewrite_expr(expr.right)
             )
-            callee = self.analysis.call_target.get(expr.node_id)
-            if callee is not None and callee.kind is SymbolKind.ROUTINE:
-                new_expr.args.extend(self._extra_args_for(callee, expr.location))
-            self.source_map.record(new_expr, expr)
-            return new_expr
-        if isinstance(expr, ast.IndexedRef):
-            new_expr = ast.IndexedRef(
-                base=self.rewrite_expr(expr.base),
-                index=self.rewrite_expr(expr.index),
-                location=expr.location,
+        if kind is ast.FuncCall:
+            return self._with_extra_args(expr)
+        if kind is ast.IndexedRef:
+            return self.rebuild(
+                expr, base=self.rewrite_expr(expr.base), index=self.rewrite_expr(expr.index)
             )
-            self.source_map.record(new_expr, expr)
-            return new_expr
-        if isinstance(expr, (ast.UnaryOp, ast.BinaryOp, ast.ArrayLiteral)):
-            if isinstance(expr, ast.UnaryOp):
-                new_expr = ast.UnaryOp(
-                    op=expr.op,
-                    operand=self.rewrite_expr(expr.operand),
-                    location=expr.location,
-                )
-            elif isinstance(expr, ast.BinaryOp):
-                new_expr = ast.BinaryOp(
-                    op=expr.op,
-                    left=self.rewrite_expr(expr.left),
-                    right=self.rewrite_expr(expr.right),
-                    location=expr.location,
-                )
-            else:
-                new_expr = ast.ArrayLiteral(
-                    elements=[self.rewrite_expr(element) for element in expr.elements],
-                    location=expr.location,
-                )
-            self.source_map.record(new_expr, expr)
-            return new_expr
-        return self.copy(expr)
+        if kind is ast.UnaryOp:
+            return self.rebuild(expr, operand=self.rewrite_expr(expr.operand))
+        if kind is ast.ArrayLiteral:
+            return self.rebuild(expr, elements=self.rewrite_expr_list(expr.elements))
+        return expr
 
 
 def convert_globals_to_params(analysis: AnalyzedProgram) -> GlobalsToParamsResult:
     """Run the globals-to-parameters transformation on an analyzed program."""
     rewriter = _GlobalsToParams(analysis)
-    program = rewriter.rewrite_program()
+    # The pass shares what it leaves alone; its output is copied whole, so
+    # the transformed program shares no node with the user's.
+    ids: dict[int, int] = {}
+    program = ast.clone(rewriter.rewrite_program(), ids)
     return GlobalsToParamsResult(
         program=program,
-        source_map=rewriter.source_map,
+        source_map=rewriter.source_map.of_copy(ids),
         added_params=rewriter.added_params,
         warnings=rewriter.warnings,
     )

@@ -46,7 +46,7 @@ from repro.transform.goto_taxonomy import (
     classify_program,
 )
 from repro.transform.mapping import SourceMap
-from repro.transform.rewriter import Rewriter
+from repro.transform.rewriter import Rewriter, shared_list
 
 
 @dataclass
@@ -214,10 +214,12 @@ class _LoopGotoRewriter(_GotoRewriter):
     def finish_block(
         self, new_block: ast.Block, original: ast.Block, owner: ast.Node
     ) -> ast.Block:
-        for var in self._new_vars.pop(original.node_id, []):
-            new_block.variables.append(var)
-        for label in self._new_labels.pop(original.node_id, []):
-            new_block.labels.append(label)
+        new_vars = self._new_vars.pop(original.node_id, [])
+        new_labels = self._new_labels.pop(original.node_id, [])
+        if new_vars or new_labels:
+            new_block = self.own(new_block)
+            new_block.variables.extend(new_vars)
+            new_block.labels.extend(new_labels)
         return new_block
 
     def _declare(self, var: ast.VarDecl | None, label: ast.LabelDecl | None) -> None:
@@ -331,6 +333,7 @@ class _LoopGotoRewriter(_GotoRewriter):
 
     def _with_trailer(self, body: ast.Stmt, trailer: ast.Stmt) -> ast.Compound:
         if isinstance(body, ast.Compound):
+            body = self.own(body)
             body.statements.append(trailer)
             return body
         compound = ast.Compound(statements=[body, trailer])
@@ -425,7 +428,7 @@ class _LoopGotoRewriter(_GotoRewriter):
         try:
             if isinstance(loop, ast.Repeat):
                 body: ast.Stmt = ast.Compound(
-                    statements=self.rewrite_stmt_list(loop.body)
+                    statements=list(self.rewrite_stmt_list(loop.body))
                 )
                 self._synth(body)
             else:
@@ -512,10 +515,7 @@ class _GlobalGotoRewriter(_GotoRewriter):
     # -- context tracking
 
     def rewrite_routine(self, decl: ast.RoutineDecl) -> ast.RoutineDecl:
-        info = next(
-            info for info in self.analysis.user_routines() if info.decl is decl
-        )
-        self._routine_stack.append(info)
+        self._routine_stack.append(self.routine_info(decl))
         try:
             return super().rewrite_routine(decl)
         finally:
@@ -536,13 +536,13 @@ class _GlobalGotoRewriter(_GotoRewriter):
     def finish_routine(
         self, new_decl: ast.RoutineDecl, original: ast.RoutineDecl
     ) -> ast.RoutineDecl:
-        info = next(
-            info for info in self.analysis.user_routines() if info.decl is original
-        )
-        plan = self._plans.get(info.symbol)
+        plan = self._plans.get(self.routine_info(original).symbol)
         if plan is None:
             return new_decl
         param_name, exit_label, _codes = plan
+        new_decl = self.own(new_decl)
+        block = new_decl.block = self.own(new_decl.block)
+        body = block.body = self.own(block.body)
         if not any(param.name == param_name for param in new_decl.params):
             param = ast.Param(
                 name=param_name,
@@ -552,11 +552,11 @@ class _GlobalGotoRewriter(_GotoRewriter):
             self._synth(param)
             self._synth(param.type_expr)
             new_decl.params.append(param)
-        if not any(decl.label == exit_label for decl in new_decl.block.labels):
+        if not any(decl.label == exit_label for decl in block.labels):
             label_decl = ast.LabelDecl(label=exit_label)
             self._synth(label_decl)
-            new_decl.block.labels.append(label_decl)
-        first = new_decl.block.body.statements[0] if new_decl.block.body.statements else None
+            block.labels.append(label_decl)
+        first = body.statements[0] if body.statements else None
         already_initialized = (
             isinstance(first, ast.Assign)
             and isinstance(first.target, ast.VarRef)
@@ -568,18 +568,23 @@ class _GlobalGotoRewriter(_GotoRewriter):
             )
             for node in init.walk():
                 self._synth(node)
-            new_decl.block.body.statements.insert(0, init)
+            body.statements.insert(0, init)
         trailer = ast.EmptyStmt(label=exit_label)
         self._synth(trailer)
-        new_decl.block.body.statements.append(trailer)
+        body.statements.append(trailer)
         return new_decl
 
     def finish_block(
         self, new_block: ast.Block, original: ast.Block, owner: ast.Node
     ) -> ast.Block:
-        for var in self._new_vars.pop(original.node_id, []):
-            if not any(existing.name == var.name for existing in new_block.variables):
-                new_block.variables.append(var)
+        new_vars = [
+            var
+            for var in self._new_vars.pop(original.node_id, [])
+            if not any(existing.name == var.name for existing in new_block.variables)
+        ]
+        if new_vars:
+            new_block = self.own(new_block)
+            new_block.variables.extend(new_vars)
         return new_block
 
     # -- goto rewriting inside affected routines
@@ -615,23 +620,18 @@ class _GlobalGotoRewriter(_GotoRewriter):
     def rewrite_proccall(self, stmt: ast.ProcCall) -> ast.Stmt | list[ast.Stmt]:
         callee = self.analysis.call_target.get(stmt.node_id)
         plan = self._plans.get(callee) if callee is not None else None
-        new_call = ast.ProcCall(
-            name=stmt.name,
-            args=[self.copy(arg) for arg in stmt.args],
-            location=stmt.location,
-            label=stmt.label,
-        )
-        self.source_map.record(new_call, stmt)
         if plan is None:
-            return new_call
+            return stmt
         param_name, _exit_label, codes = plan
+        new_call = stmt
         already_passed = any(
             isinstance(arg, ast.VarRef) and arg.name == param_name
-            for arg in new_call.args
+            for arg in stmt.args
         )
         if not already_passed:
             arg = ast.VarRef(name=param_name)
             self._synth(arg)
+            new_call = self.own(stmt)
             new_call.args.append(arg)
         # The caller needs a local to receive the exit condition.
         block = self._current_blocks[-1]
@@ -754,10 +754,7 @@ class _StructuredGotoRewriter(_GotoRewriter):
     # -- context tracking
 
     def rewrite_routine(self, decl: ast.RoutineDecl) -> ast.RoutineDecl:
-        info = next(
-            info for info in self.analysis.user_routines() if info.decl is decl
-        )
-        self._routine_stack.append(info)
+        self._routine_stack.append(self.routine_info(decl))
         try:
             return super().rewrite_routine(decl)
         finally:
@@ -788,7 +785,7 @@ class _StructuredGotoRewriter(_GotoRewriter):
             else:
                 result.append(rewritten)
             index += 1
-        return result
+        return shared_list(result, statements)
 
     def _try_reduce(
         self, statements: list[ast.Stmt], index: int
@@ -948,6 +945,7 @@ class _StructuredGotoRewriter(_GotoRewriter):
     ) -> tuple[list[ast.Stmt], int]:
         body = self.rewrite_stmt_list(statements[label_at:goto_at])
         label = statements[label_at].label
+        body[0] = self.own(body[0])
         body[0].label = None
         condition = ast.UnaryOp(op="not", operand=self.rewrite_expr(carrier.condition))
         self.source_map.record_synthesized(condition)

@@ -63,9 +63,7 @@ class _Instrumenter(Rewriter):
     def finish_routine(
         self, new_decl: ast.RoutineDecl, original: ast.RoutineDecl
     ) -> ast.RoutineDecl:
-        info = next(
-            info for info in self.analysis.user_routines() if info.decl is original
-        )
+        info = self.routine_info(original)
         effects = self.side_effects.of(info.symbol)
         incoming = [
             param.name
@@ -79,9 +77,11 @@ class _Instrumenter(Rewriter):
             if param.param_mode in (ast.ParamMode.VAR, ast.ParamMode.OUT)
             and param in effects.mod_params
         ]
-        body = new_decl.block.body.statements
-        body.insert(0, self._trace_call("gadt_enter_unit", info.name, incoming))
-        body.append(self._trace_call("gadt_exit_unit", info.name, outgoing))
+        new_decl = self.own(new_decl)
+        block = new_decl.block = self.own(new_decl.block)
+        body = block.body = self.own(block.body)
+        body.statements.insert(0, self._trace_call("gadt_enter_unit", info.name, incoming))
+        body.statements.append(self._trace_call("gadt_exit_unit", info.name, outgoing))
         return new_decl
 
     # ------------------------------------------------------------------
@@ -97,12 +97,16 @@ class _Instrumenter(Rewriter):
             "gadt_loop_exit", unit.name, [s.name for s in unit.outputs]
         )
         iter_call = self._trace_call("gadt_loop_iter", unit.name, [])
+        new_loop = self.own(new_loop)
         self._prepend_to_body(new_loop, iter_call)
         return [enter, new_loop, leave]
 
     def _prepend_to_body(self, loop: ast.Stmt, call: ast.ProcCall) -> None:
+        """Put ``call`` first in the body of ``loop``, a loop this pass
+        created."""
         if isinstance(loop, (ast.While, ast.For)):
             if isinstance(loop.body, ast.Compound):
+                loop.body = self.own(loop.body)
                 loop.body.statements.insert(0, call)
             else:
                 compound = ast.Compound(statements=[call, loop.body])
@@ -129,4 +133,5 @@ def instrument_program(
     """Insert trace-generating actions into an analyzed program."""
     rewriter = _Instrumenter(analysis, side_effects, loop_units)
     program = rewriter.rewrite_program()
-    return InstrumentResult(program=program, source_map=rewriter.source_map)
+    source_map = SourceMap.identity(analysis.program).layered(rewriter.source_map)
+    return InstrumentResult(program=program, source_map=source_map)

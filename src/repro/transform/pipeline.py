@@ -20,14 +20,19 @@ Order of passes:
    artifact, built only when something reads it. The tracer attaches to
    interpreter hooks and traces the transformed program directly.
 
-Every pass that rewrites something re-analyzes its output and composes
-its source map with the accumulated one, so the pipeline result can map
-any transformed construct back to the exact original construct the user
-wrote (transparent debugging, paper §6.1). A goto pass with nothing to
-rewrite returns its input program uncopied, and the pipeline moves on
-with the analysis it has: no copy, no map, no re-analysis. The
-globals-to-parameters pass always copies, so the transformed program
-never shares a node with the user's.
+The goto passes are copy-on-write (:mod:`repro.transform.rewriter`):
+each shares every statement, expression and routine it does not
+rewrite with its input, and its source map holds only the nodes it
+creates. The pipeline's accumulated map starts as the identity over
+the user's program, and each rewriting pass's map is layered over it,
+so a shared node keeps its entry; the pass's output is re-analyzed.
+The pipeline result can so map any transformed construct back to the
+exact original construct the user wrote (transparent debugging, paper
+§6.1). A goto pass with nothing to rewrite returns its input program
+uncopied, and the pipeline moves on with the analysis it has: no copy,
+no map, no re-analysis. The globals-to-parameters pass copies its
+output whole, so the transformed program never shares a node with the
+user's.
 
 A mutant does not go through the passes. Its text differs from its
 printed host's in one operator or one literal, and
@@ -191,15 +196,11 @@ def transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
         return _transform_program(analysis)
 
 
-def _compose(step: SourceMap, accumulated: SourceMap | None) -> SourceMap:
-    """``step``'s map composed with the passes' before it, if any."""
-    return step if accumulated is None else step.compose(accumulated)
-
-
 def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     original = analysis
     warnings: list[str] = []
-    #: composed map of the passes so far; None until one rewrites something
+    #: the passes' maps so far, layered over the identity over the
+    #: user's program; None (the identity) until one rewrites something
     accumulated: SourceMap | None = None
     #: the classification of ``analysis``, while it is the original one
     report: TaxonomyReport | None = classify_program(analysis)
@@ -216,7 +217,9 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
             return
         for case, count in result.eliminated.items():
             goto_eliminated[case] = goto_eliminated.get(case, 0) + count
-        accumulated = _compose(result.source_map, accumulated)
+        if accumulated is None:
+            accumulated = SourceMap.identity(original.program)
+        accumulated = accumulated.layered(result.source_map)
         analysis = analyze(result.program)
         report = None
 
@@ -252,7 +255,9 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     with obs.span("transform.pass.globals_to_params"):
         globals_result = convert_globals_to_params(analysis)
         warnings.extend(globals_result.warnings)
-        accumulated = _compose(globals_result.source_map, accumulated)
+        source_map = globals_result.source_map
+        if accumulated is not None:
+            source_map = source_map.compose(accumulated)
 
     if obs.enabled():
         obs.add("transform.programs")
@@ -266,7 +271,7 @@ def _transform_program(analysis: AnalyzedProgram) -> TransformedProgram:
     return TransformedProgram(
         original_analysis=original,
         program=globals_result.program,
-        source_map=accumulated,
+        source_map=source_map,
         added_params=globals_result.added_params,
         exit_params=exit_params,
         warnings=warnings,

@@ -50,6 +50,10 @@ CORPUS_SEEDS = range(200)
 
 @pytest.fixture(autouse=True)
 def _clean():
+    # A printed text may also be a mutant's text, whose registered recipe
+    # is an AnalysisPatch: start from empty caches, not from whichever
+    # recipe an earlier test left for the same text.
+    cache.clear_caches()
     yield
     obs.disable()
     obs.reset()
